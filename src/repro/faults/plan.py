@@ -154,10 +154,17 @@ def _bump_file_counter(path: str) -> int:
     The file-backed counter survives process respawns, which is what
     lets a ``crash`` rule fire on the first N attempts and then let the
     replacement worker through — the semantics the retry tests need.
+    The count is this write's own end offset: an ``O_APPEND`` write
+    moves to the end and writes in one atomic step, so workers hitting
+    the site at the same moment still draw distinct counts (re-reading
+    the file size could give both the later one).
     """
-    with open(path, "ab") as fh:
-        fh.write(b"\x00")
-    return os.path.getsize(path)
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        os.write(fd, b"\x00")
+        return os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
 
 
 class FaultPlan:

@@ -27,8 +27,8 @@ every operator dashboard should watch:
 
 * ``faults.injected`` — fault-layer activations (:mod:`repro.faults`);
   nonzero outside a chaos run means ``REPRO_FAULTS`` leaked into prod;
-* ``sched.watchdog_kills`` — workers killed by a hung-shard watchdog
-  (the scheduler's or a :class:`~repro.parallel.pool.WorkerPool`'s);
+* ``sched.watchdog_kills`` — workers killed by the scheduler's
+  hung-shard watchdog (daemon fleets and per-call pools alike);
 * ``store.quarantined`` — corrupt ``.prep`` entries moved aside and
   rebuilt; ``store.save_errors`` — failed (rolled-back) store saves;
 * ``client.retries`` — service-client connect/busy retries;

@@ -15,10 +15,12 @@ three layers:
   :class:`WorkerPool` of ``multiprocessing`` workers, each hydrating its
   own ``Engine(store=..., structural_keys=True)`` from a shared store
   directory so Lemma 6.5 tables are built once per digest across the
-  whole fleet; dynamic pull-based dispatch, ordered result collection,
-  per-worker stats aggregation, and crash recovery (a dead worker's
-  shard is re-queued to a survivor — or a spawned replacement — with
-  capped retries);
+  whole fleet;
+* :mod:`repro.parallel.scheduler` — the one shard scheduler, shared by
+  per-call pools and the service daemon: dynamic pull-based dispatch,
+  ordered result collection, per-worker stats aggregation, and crash
+  recovery (a dead worker's shard is re-queued with capped retries and
+  the worker replaced, within a fleet crash budget);
 * :mod:`repro.parallel.api` — :func:`parallel_corpus`,
   :func:`parallel_many` and :func:`parallel_batch`, mirrored by
   ``repro batch --jobs N`` in the CLI and held bit-identical to the

@@ -1,14 +1,14 @@
-"""The worker pool: dynamic shard dispatch with crash recovery.
+"""The worker pool: a fleet of engine-hydrating worker processes.
 
-The parent is the scheduler.  Every worker owns a private pair of pipes
-— parent→worker for shard dispatch, worker→parent for
-``ready``/``done``/``error``/``bye`` messages (see
-:mod:`repro.parallel.worker`) — and the parent multiplexes over all
-result pipes with :func:`multiprocessing.connection.wait`.  Work is
-*pulled*: a shard is only sent to a worker when it reports idle, so a
-slow shard never blocks the rest of the plan behind it — the
-dynamic-queue equivalent of work stealing, with the parent as the
-(cheap, message-only) steal target.
+Every worker owns a private pair of pipes — parent→worker for shard
+dispatch, worker→parent for ``ready``/``done``/``error``/``bye``
+messages (see :mod:`repro.parallel.worker`) — and the scheduler
+multiplexes over all result pipes with
+:func:`multiprocessing.connection.wait`.  Work is *pulled*: a shard is
+only sent to a worker when it reports idle, so a slow shard never
+blocks the rest of the plan behind it — the dynamic-queue equivalent of
+work stealing, with the parent as the (cheap, message-only) steal
+target.
 
 Why pipes and not one shared ``multiprocessing.Queue``: a queue
 multiplexes all writers over one pipe behind a cross-process lock held
@@ -20,36 +20,21 @@ With one pipe per worker there is exactly one writer per channel, no
 lock to leak, and a crashed worker can only truncate its *own* stream —
 which the parent additionally uses as a crash signal (EOF).
 
-Failure semantics, the part that makes this subsystem more than a
-``Pool.map``:
-
-* a worker that *raises* stays alive; its shard is re-queued and the
-  worker rejoins the idle set (it may legitimately retry its own shard —
-  transient errors — or a different one);
-* a worker that *dies* is detected by EOF on its result pipe (with
-  exit-code polling as a backstop); the shard it held is re-queued — to
-  a surviving worker, or to a freshly spawned replacement when none
-  survives (so crash recovery works even at ``jobs=1``);
-* each shard has a retry budget (``max_retries``) and the fleet has a
-  crash budget; exceeding either aborts the run with a
-  :class:`ParallelExecutionError` carrying the last traceback seen, so a
-  deterministic crash cannot loop forever.
-
-Results are collected *by item index*, not arrival order: callers get
-their corpus back in input order no matter how shards interleave.
-
-Two lifetimes share this scheduler.  A plain :class:`WorkerPool` is
-*per-call*: :meth:`WorkerPool.run` spawns the fleet, executes one plan,
-and tears the fleet down again (gracefully on success — sentinel,
-farewell stats — and *hard* on abnormal exit: ``KeyboardInterrupt`` or a
-client error terminates every worker immediately instead of waiting for
-goodbyes, so an interrupted run never leaks processes).  The service
-daemon's :class:`~repro.service.fleet.PersistentFleet` subclasses the
-pool with ``persistent = True``: workers are spawned once, survive
-across :meth:`run` calls (their engine caches staying warm), and are
-only released by :meth:`close`.  Pools are context managers — ``with
+The pool owns processes and pipes; scheduling is the
+:class:`~repro.parallel.scheduler.FleetScheduler`'s, whichever lifetime
+the fleet has.  :meth:`WorkerPool.run` is the *per-call* lifetime: it
+opens a scheduler over ``min(jobs, shards)`` workers, submits the plan
+as one job, runs the scheduler's beats in the calling thread until the
+job resolves, and tears the fleet down again — gracefully on success
+(sentinels, farewell stats on the report) and *hard* on abnormal exit:
+``KeyboardInterrupt`` or a failed job terminates every worker
+immediately instead of waiting for goodbyes, so an interrupted run never
+leaks processes.  The service daemon hands a plain pool to a scheduler
+thread instead, which keeps it alive (and its workers' engine caches
+warm) until :meth:`close`.  Pools are context managers — ``with
 WorkerPool(...) as pool`` guarantees the fleet is gone on exit either
-way.
+way.  Retries, the crash budget and the hung-shard watchdog are
+described in :mod:`repro.parallel.scheduler`.
 """
 
 from __future__ import annotations
@@ -57,16 +42,18 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence
 
-from repro.engine.cache import CacheStats
 from repro.engine.spec import EngineConfig, SpannerSpec, TaskSpec
-from repro.errors import ReproError
-from repro.obs.metrics import get_registry, merge_snapshots
-from repro.store.prepstore import StoreStats
+from repro.errors import ParallelExecutionError
 
+from repro.parallel.scheduler import (
+    FleetScheduler,
+    ParallelReport,
+    aggregate_cache_stats,
+    aggregate_store_stats,
+)
 from repro.parallel.sharding import Shard, ShardPlan
 from repro.parallel.worker import worker_main
 
@@ -75,100 +62,12 @@ from repro.parallel.worker import worker_main
 START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
 
 
-def _debug(*parts) -> None:
-    """Scheduler trace, enabled by ``REPRO_PARALLEL_DEBUG=1`` (stderr)."""
-    if os.environ.get("REPRO_PARALLEL_DEBUG"):
-        import sys
-
-        print("[repro.parallel]", *parts, file=sys.stderr, flush=True)
-
-
-class ParallelExecutionError(ReproError, RuntimeError):
-    """A parallel run could not complete (retries exhausted / fleet lost)."""
-
-
 def default_start_method() -> str:
     env = os.environ.get(START_METHOD_ENV)
     if env:
         return env
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
-
-
-def aggregate_cache_stats(
-    per_worker: Sequence[Dict[str, CacheStats]]
-) -> Dict[str, CacheStats]:
-    """Sum per-worker engine cache stats layer-by-layer."""
-    merged: Dict[str, CacheStats] = {}
-    for stats in per_worker:
-        for layer, s in stats.items():
-            prev = merged.get(layer)
-            if prev is None:
-                merged[layer] = s
-            else:
-                merged[layer] = CacheStats(
-                    hits=prev.hits + s.hits,
-                    misses=prev.misses + s.misses,
-                    evictions=prev.evictions + s.evictions,
-                    size=prev.size + s.size,
-                    maxsize=prev.maxsize + s.maxsize,
-                    key_mode=s.key_mode,
-                )
-    return merged
-
-
-def aggregate_store_stats(
-    per_worker: Sequence[Optional[StoreStats]],
-) -> Optional[StoreStats]:
-    """Sum per-worker store counters (``None`` when no engine had a store)."""
-    merged: Optional[StoreStats] = None
-    for s in per_worker:
-        if s is None:
-            continue
-        if merged is None:
-            merged = StoreStats()
-        merged.hits += s.hits
-        merged.misses += s.misses
-        merged.rejects += s.rejects
-        merged.writes += s.writes
-        merged.quarantined += s.quarantined
-    return merged
-
-
-@dataclass
-class ParallelReport:
-    """Everything a :class:`WorkerPool` run produced.
-
-    ``results[k]`` is the payload of work item ``k`` in the caller's
-    original order.  Stats are both kept per worker (diagnosis: is one
-    worker cold?) and aggregated (headline hit rates for the whole
-    fleet).
-    """
-
-    results: List[object]
-    jobs: int
-    shards: int
-    retries: int = 0
-    workers_crashed: int = 0
-    watchdog_kills: int = 0
-    worker_cache_stats: Dict[int, Dict[str, CacheStats]] = field(default_factory=dict)
-    worker_store_stats: Dict[int, Optional[StoreStats]] = field(default_factory=dict)
-    #: Latest cumulative registry snapshot per worker (see
-    #: :func:`repro.obs.metrics.merge_snapshots` for the merge rules).
-    worker_metrics: Dict[int, dict] = field(default_factory=dict)
-
-    @property
-    def cache_stats(self) -> Dict[str, CacheStats]:
-        return aggregate_cache_stats(list(self.worker_cache_stats.values()))
-
-    @property
-    def store_stats(self) -> Optional[StoreStats]:
-        return aggregate_store_stats(list(self.worker_store_stats.values()))
-
-    @property
-    def metrics(self) -> dict:
-        """The fleet-wide merged metrics snapshot."""
-        return merge_snapshots(list(self.worker_metrics.values()))
 
 
 class _Worker:
@@ -207,22 +106,23 @@ class _Worker:
 
 
 class WorkerPool:
-    """A fleet of engine-hydrating workers executing a :class:`ShardPlan`.
+    """A fleet of engine-hydrating workers executing shard plans.
 
     Parameters
     ----------
     jobs:
-        Number of worker processes.
+        Number of worker processes (:meth:`run` spawns at most one per
+        shard).
     config:
         The :class:`EngineConfig` every worker hydrates from.  Share a
         ``store_dir`` to let workers (and later runs) reuse each other's
         preprocessing builds.
     max_retries:
         How many times one shard may fail (worker crash *or* in-worker
-        exception) before the run aborts.
+        exception) before its job fails.
     timeout:
-        Wall-clock cap for one :meth:`run` (safety net for CI; ``None``
-        = no cap).
+        Wall-clock cap for one job (safety net for CI; ``None`` = no
+        cap).
     shard_timeout:
         Hung-shard watchdog: the execution allowance, in seconds,
         granted to a *mean-cost* shard before the worker running it is
@@ -236,10 +136,6 @@ class WorkerPool:
         ``multiprocessing`` start method; default per
         :func:`default_start_method` / ``REPRO_PARALLEL_START_METHOD``.
     """
-
-    #: Subclasses whose fleet outlives :meth:`run` (the service daemon's
-    #: :class:`~repro.service.fleet.PersistentFleet`) set this ``True``.
-    persistent = False
 
     def __init__(
         self,
@@ -263,52 +159,15 @@ class WorkerPool:
         self._workers: Dict[int, _Worker] = {}
         self._next_wid = 0
 
-    # -- fleet plumbing (shared with the persistent service fleet) ------
+    # -- what crosses to a worker ---------------------------------------
 
-    def _worker_target(self):
-        """The worker process entry point (module-level: spawn-safe)."""
-        return worker_main
-
-    def _worker_args(self, spanners, task) -> tuple:
-        """Extra ``_worker_target`` arguments after the pipe ends."""
-        return (self.config, tuple(spanners), task)
+    def _worker_args(self) -> tuple:
+        """``worker_main`` arguments after the pipe ends."""
+        return (self.config,)
 
     def _shard_message(self, shard: Shard, spanners, task):
         """What goes down the task pipe for one shard dispatch."""
-        return shard
-
-    def _spawn_worker(self, spanners, task) -> None:
-        wid = self._next_wid
-        self._next_wid += 1
-        task_rx, task_tx = self._ctx.Pipe(duplex=False)
-        result_rx, result_tx = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=self._worker_target(),
-            args=(wid, task_rx, result_tx) + self._worker_args(spanners, task),
-            daemon=True,
-            name=f"repro-parallel-{wid}",
-        )
-        process.start()
-        # The parent must not keep the worker-side pipe ends open, or
-        # EOF (our crash signal) would never fire on the result pipe.
-        task_rx.close()
-        result_tx.close()
-        self._workers[wid] = _Worker(wid, process, task_tx, result_rx)
-
-    def _ensure_fleet(self) -> None:
-        """Bring a persistent fleet (back) to its configured strength."""
-        while len(self._workers) < self.jobs:
-            self._spawn_worker((), None)
-
-    def _reset_fleet(self) -> None:
-        """Hard-replace every worker (after a failed persistent run).
-
-        A failed run may leave workers mid-shard; their late ``done``
-        messages would corrupt the next run's bookkeeping, so the whole
-        fleet is terminated and respawned cold.
-        """
-        self.abort()
-        self._ensure_fleet()
+        return (shard, tuple(spanners), task)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -328,233 +187,23 @@ class WorkerPool:
         task: TaskSpec,
     ) -> ParallelReport:
         """Execute ``plan``; block until every item has a result."""
-        workers = self._workers
-        if self.persistent:
-            self._ensure_fleet()
-            n_workers = len(workers)
-        else:
-            n_workers = min(self.jobs, max(1, len(plan.shards)))
-            while len(workers) < n_workers:
-                self._spawn_worker(spanners, task)
-
-        # Every crash is attributable to either a shard failure (bounded
-        # by the per-shard retry budget) or a hydration failure (bounded
-        # by the fleet size per retry round); anything past this budget
-        # is a systemic failure worth aborting on, not retrying through.
-        crash_budget = n_workers + (self.max_retries + 1) * len(plan.shards)
-        pending: List[Shard] = list(plan.shards)
-        retries: Dict[int, int] = {}
-        payloads: Dict[int, List] = {}  # shard_id -> [(index, result)]
-        report = ParallelReport(
-            results=[None] * plan.num_items, jobs=n_workers, shards=len(plan.shards)
-        )
-        last_error = ""
-        deadline = None if self.timeout is None else time.monotonic() + self.timeout
-        # Hung-shard watchdog state: when each in-flight shard was
-        # dispatched, and which workers the watchdog already killed (so
-        # their EOF reap is attributed, and a corpse is not re-killed).
-        dispatched_at: Dict[int, float] = {}
-        watchdog_killed: set = set()
-        mean_cost = 1.0
-        if plan.shards:
-            mean_cost = max(1.0, plan.total_cost / len(plan.shards))
-
-        def dispatch() -> None:
-            for worker in list(workers.values()):
-                if not pending:
-                    return
-                if worker.idle:
-                    shard = pending.pop()
-                    worker.assigned = shard
-                    _debug("dispatch shard", shard.shard_id, "-> worker", worker.wid)
-                    if not worker.send(self._shard_message(shard, spanners, task)):
-                        # Died between messages; the reaper re-queues it.
-                        worker.assigned = None
-                        pending.append(shard)
-                    else:
-                        dispatched_at[worker.wid] = time.monotonic()
-
-        def watchdog() -> None:
-            """Kill workers whose shard is past its execution allowance.
-
-            The kill makes the result pipe EOF, so the normal reap path
-            re-queues the shard (charging its retry budget) and refills
-            the fleet — a hang is handled exactly like a crash.
-            """
-            if self.shard_timeout is None:
-                return
-            now = time.monotonic()
-            for worker in list(workers.values()):
-                shard = worker.assigned
-                started = dispatched_at.get(worker.wid)
-                if shard is None or started is None:
-                    continue
-                if worker.wid in watchdog_killed:
-                    continue
-                scale = max(1.0, max(shard.cost, 1.0) / mean_cost)
-                attempts = retries.get(shard.shard_id, 0)
-                allowance = self.shard_timeout * scale * (2.0 ** attempts)
-                if now - started <= allowance:
-                    continue
-                watchdog_killed.add(worker.wid)
-                report.watchdog_kills += 1
-                get_registry().counter("sched.watchdog_kills").inc()
-                _debug(
-                    "watchdog kill worker", worker.wid, "shard",
-                    shard.shard_id, "after", f"{now - started:.1f}s",
-                )
-                try:
-                    worker.process.kill()
-                except OSError:
-                    pass
-
-        def fail_shard(shard: Shard, why: str) -> None:
-            nonlocal last_error
-            last_error = why or last_error
-            count = retries.get(shard.shard_id, 0) + 1
-            retries[shard.shard_id] = count
-            report.retries += 1
-            if count > self.max_retries:
-                raise ParallelExecutionError(
-                    f"shard {shard.shard_id} failed {count} times "
-                    f"(max_retries={self.max_retries}); last failure:\n{why}"
-                )
-            pending.append(shard)
-
-        def reap(worker: _Worker, why: str) -> None:
-            """Remove a dead worker, re-queue its shard, refill the fleet."""
-            del workers[worker.wid]
-            dispatched_at.pop(worker.wid, None)
-            watchdog_killed.discard(worker.wid)
-            report.workers_crashed += 1
-            _debug(
-                "reap worker", worker.wid, "exitcode", worker.process.exitcode,
-                "held shard",
-                None if worker.assigned is None else worker.assigned.shard_id,
-            )
-            worker.close()
-            if report.workers_crashed > crash_budget:
-                raise ParallelExecutionError(
-                    f"{report.workers_crashed} worker crashes exceed the "
-                    f"fleet's crash budget ({crash_budget}); last failure:\n"
-                    f"{why or last_error or '(no traceback captured)'}"
-                )
-            if worker.assigned is not None:
-                shard, worker.assigned = worker.assigned, None
-                fail_shard(shard, why)  # raises once its retries run out
-            # Keep the fleet at strength while there is queued work: a
-            # crash with retry budget left must be recoverable even at
-            # jobs=1 (no survivors) — a replacement is spawned, it is not
-            # only "surviving workers" that inherit the shard.  A
-            # persistent fleet refills unconditionally: it also has to
-            # serve the *next* job at full strength.
-            refill = n_workers - len(workers)
-            if not self.persistent:
-                refill = min(len(pending), refill)
-            for _ in range(refill):
-                self._spawn_worker(spanners, task)
-
-        def handle(worker: _Worker, message) -> None:
-            nonlocal last_error
-            kind = message[0]
-            _debug("recv", kind, "from worker", worker.wid)
-            if kind == "ready":
-                worker.ready = True
-            elif kind == "done":
-                _, _, shard_id, payload, metrics = message
-                if shard_id not in payloads:  # a retry may double-report
-                    payloads[shard_id] = payload
-                report.worker_metrics[worker.wid] = metrics  # cumulative: keep latest
-                worker.assigned = None
-                dispatched_at.pop(worker.wid, None)
-            elif kind == "error":
-                _, _, shard_id, trace = message
-                dispatched_at.pop(worker.wid, None)
-                if worker.assigned is not None:
-                    shard, worker.assigned = worker.assigned, None
-                    if shard.shard_id not in payloads:
-                        fail_shard(shard, trace)
-                elif shard_id is None:
-                    # Hydration failed before "ready": remember why; the
-                    # EOF reap (or the all-dead check) surfaces it.
-                    last_error = trace
-
+        scheduler = FleetScheduler(self)
         try:
-            while len(payloads) < len(plan.shards):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise ParallelExecutionError(
-                        f"parallel run exceeded its {self.timeout}s timeout "
-                        f"({len(payloads)}/{len(plan.shards)} shards done)"
-                    )
-                dispatch()
-                watchdog()
-                conns = {w.result_conn: w for w in workers.values()}
-                for conn in connection.wait(list(conns), timeout=0.1):
-                    worker = conns[conn]
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        if worker.wid in watchdog_killed:
-                            why = (
-                                f"worker {worker.wid} was killed by the "
-                                f"hung-shard watchdog: shard "
-                                + (
-                                    str(worker.assigned.shard_id)
-                                    if worker.assigned is not None
-                                    else "<none>"
-                                )
-                                + f" exceeded its execution allowance "
-                                f"(shard_timeout={self.shard_timeout}s)"
-                            )
-                        else:
-                            why = (
-                                f"worker {worker.wid} died (exit code "
-                                f"{worker.process.exitcode}) while running shard "
-                                + (
-                                    str(worker.assigned.shard_id)
-                                    if worker.assigned is not None
-                                    else "<none>"
-                                )
-                                + (
-                                    f"; it reported:\n{last_error}"
-                                    if last_error
-                                    else ""
-                                )
-                            )
-                        reap(worker, why)
-                        continue
-                    handle(worker, message)
-                # Backstop for exotic deaths that leave the pipe open (a
-                # wedged-but-alive child cannot be detected here; the
-                # timeout covers it).
-                for worker in list(workers.values()):
-                    if worker.process.exitcode is not None and not worker.result_conn.poll():
-                        reap(
-                            worker,
-                            f"worker {worker.wid} exited with code "
-                            f"{worker.process.exitcode} without a farewell",
-                        )
-            for shard_payload in payloads.values():
-                for index, result in shard_payload:
-                    report.results[index] = result
-        except Exception:  # repro-check: broad-except — teardown barrier, re-raised below
-            # A failed run must not leak processes: per-call pools tear
-            # the fleet down hard, a persistent fleet replaces it (some
-            # workers may still be mid-shard; see _reset_fleet).
-            if self.persistent:
-                self._reset_fleet()
-            else:
-                self.abort()
-            raise
+            scheduler.open(min(self.jobs, max(1, len(plan.shards))))
+            job = scheduler.submit(plan, spanners, task)
+            while not job.done:
+                scheduler.beat()
+            report = job.future.result()  # raises the job's failure
+            self.close(report)
+            return report
         except BaseException:
-            # KeyboardInterrupt / SystemExit: the user wants out *now* —
-            # terminate every worker immediately, never wait the graceful
-            # goodbye window (this is the Ctrl-C regression guard).
+            # A failed job or KeyboardInterrupt: terminate every worker
+            # immediately, never wait the graceful goodbye window (this
+            # is the Ctrl-C regression guard).
             self.abort()
             raise
-        if not self.persistent:
-            self.close(report)
-        return report
+        finally:
+            scheduler.close()
 
     def close(self, report: Optional[ParallelReport] = None) -> None:
         """Gracefully release the fleet: sentinels, farewells, join.
@@ -600,8 +249,8 @@ class WorkerPool:
     def abort(self) -> None:
         """Hard-stop the fleet: terminate every worker, reap, close pipes.
 
-        The abnormal-exit path (``KeyboardInterrupt``, client errors,
-        fleet resets): no sentinels, no farewell stats, no waiting on
+        The abnormal-exit path (``KeyboardInterrupt``, failed jobs,
+        client errors): no sentinels, no farewell stats, no waiting on
         worker cooperation.  Idempotent.
         """
         workers = self._workers
@@ -616,23 +265,29 @@ class WorkerPool:
             worker.close()
         workers.clear()
 
-    # -- external-scheduler surface -------------------------------------
+    # -- the scheduler's surface ----------------------------------------
     #
-    # The service daemon's FleetScheduler owns a persistent fleet from
-    # its own thread and needs the same three primitives run() uses
-    # inline: spawn a replacement, drop a corpse, and multiplex over the
-    # result pipes.  These are thin, thread-unsafe accessors — exactly
-    # one thread may drive a pool at a time (run() here, or the
-    # scheduler loop there), which is the same contract run() already
-    # relies on.
+    # Thin, thread-unsafe accessors: exactly one thread drives a fleet
+    # at a time (a scheduler thread, or run() beating inline).
 
     def spawn_worker(self) -> None:
-        """Add one worker at the fleet's standing configuration.
-
-        Only meaningful for persistent fleets, whose workers hydrate
-        from ``self.config`` alone and take specs per shard message.
-        """
-        self._spawn_worker((), None)
+        """Start one worker hydrating from ``self.config``."""
+        wid = self._next_wid
+        self._next_wid += 1
+        task_rx, task_tx = self._ctx.Pipe(duplex=False)
+        result_rx, result_tx = self._ctx.Pipe(duplex=False)
+        process = self._ctx.Process(
+            target=worker_main,
+            args=(wid, task_rx, result_tx) + self._worker_args(),
+            daemon=True,
+            name=f"repro-parallel-{wid}",
+        )
+        process.start()
+        # The parent must not keep the worker-side pipe ends open, or
+        # EOF (our crash signal) would never fire on the result pipe.
+        task_rx.close()
+        result_tx.close()
+        self._workers[wid] = _Worker(wid, process, task_tx, result_rx)
 
     def remove_worker(self, wid: int) -> None:
         """Forget a (dead) worker and close the parent-side pipe ends."""
@@ -649,23 +304,9 @@ class WorkerPool:
         return [w for w in self._workers.values() if w.idle]
 
     def _worker_snapshot(self) -> List[_Worker]:
-        # One atomic-in-CPython copy: the daemon answers ping on the
-        # event loop while the job executor thread mutates the dict
-        # (reap/respawn), so iterating self._workers directly could
-        # raise "dictionary changed size during iteration".  The
-        # snapshot may be a beat stale; these are diagnostics.
+        # One atomic-in-CPython copy, safe to iterate while the driving
+        # thread reaps and respawns.
         return list(self._workers.values())
-
-    @property
-    def worker_pids(self) -> List[int]:
-        """PIDs of the current fleet (diagnostics / persistence checks)."""
-        return [w.process.pid for w in self._worker_snapshot()]
-
-    def alive_workers(self) -> int:
-        """How many fleet processes are currently running."""
-        return sum(
-            1 for w in self._worker_snapshot() if w.process.exitcode is None
-        )
 
 
 __all__ = [

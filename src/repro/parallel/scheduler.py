@@ -1,12 +1,20 @@
-"""The daemon's multi-tenant fleet scheduler: many jobs, one fleet.
+"""The shard scheduler: many jobs, one fleet, one set of failure rules.
 
-PR 5's daemon ran every request through a single-thread executor and
-the fleet's FIFO :meth:`~repro.parallel.pool.WorkerPool.run` — one
-corpus-sized ``batch`` starved every small ``query`` behind it.  The
-:class:`FleetScheduler` replaces that with shard-level interleaving: a
-dedicated scheduler thread exclusively owns the
-:class:`~repro.service.fleet.PersistentFleet` and multiplexes shards
-from *all* admitted jobs across it.
+A :class:`FleetScheduler` multiplexes the shards of every admitted job
+across one :class:`~repro.parallel.pool.WorkerPool` fleet.  It is the
+only shard scheduler in the codebase, driven in two lifetimes:
+
+* the service daemon calls :meth:`FleetScheduler.start`: a dedicated
+  thread runs :meth:`beat` until :meth:`close`, over a fleet that lives
+  as long as the daemon (its workers' engine caches staying warm);
+* a per-call :meth:`WorkerPool.run <repro.parallel.pool.WorkerPool.run>`
+  opens a scheduler over its own short-lived fleet, submits its plan as
+  one job and runs beats *inline* in the calling thread until the job
+  resolves.
+
+Both therefore share dispatch, retries, the crash budget and the
+hung-shard watchdog.  One beat is: expire → refill → dispatch →
+watchdog → poll.
 
 Scheduling discipline — weighted fair queueing over virtual time:
 
@@ -21,63 +29,87 @@ Scheduling discipline — weighted fair queueing over virtual time:
 * among jobs with pending shards, the lowest virtual time wins;
   admission order breaks ties.
 
-Tenant isolation — the part that makes this safe to share:
+Failure semantics:
+
+* a worker that *raises* stays alive; its shard is re-queued against
+  its job's retry budget (``max_retries`` per shard);
+* a worker that *dies* is detected by EOF on its result pipe (exit-code
+  polling as backstop); the shard it held is re-queued the same way and
+  the fleet is refilled, so recovery works even with one worker;
+* a worker that dies before its first ``ready`` is a hydration failure,
+  charged to the fleet's crash budget: ``jobs + (max_retries + 1) ·
+  shards`` over the shards admitted since a worker last became ready.
+  The refill never spawns more unproven workers than the budget has
+  left, so when it runs out every admitted job fails with a
+  :class:`~repro.errors.ParallelExecutionError` carrying the worker's
+  reported traceback, and the fleet stays down until the next admission
+  widens the budget;
+* the watchdog kills a worker whose shard is past its execution
+  allowance (``shard_timeout``, scaled by the shard's cost and doubled
+  per failed attempt); the kill surfaces as a crash like any other.
+
+Tenant isolation — the part that makes one fleet safe to share:
 
 * shards are re-tagged with globally unique ids at admission, so every
   worker message is attributable to exactly one job; late ``done`` /
   ``error`` messages from a cancelled or failed job are recognised and
-  dropped instead of corrupting another tenant's bookkeeping (the old
-  design's answer was to hard-replace the whole fleet, killing every
-  tenant's warm caches);
-* retry and crash budgets are *per job*: a tenant whose spanner
-  deterministically crashes its workers fails alone, with its own
-  :class:`~repro.parallel.pool.ParallelExecutionError`, while the
-  scheduler respawns the crashed workers and every other job keeps
-  running;
+  dropped instead of corrupting another tenant's bookkeeping;
+* retry budgets are *per job*: a tenant whose spanner deterministically
+  crashes its workers fails alone while every other job keeps running;
 * admission is bounded (``max_pending_jobs`` fleet-wide,
   ``max_jobs_per_client`` per connection): past the bound, submission
-  raises :class:`~repro.service.protocol.ServiceBusyError` — a
-  structured back-off signal — instead of queueing unbounded latency;
-* jobs are cancellable mid-flight (wire ``cancel`` op by tag, or
-  client disconnect): pending shards are dropped immediately, the
-  waiter is released with
-  :class:`~repro.service.protocol.JobCancelledError`, and any in-flight
-  shard finishes as a no-op on arrival.
+  raises :class:`~repro.errors.ServiceBusyError` instead of queueing
+  unbounded latency;
+* jobs are cancellable mid-flight: pending shards are dropped
+  immediately, the waiter is released with
+  :class:`~repro.errors.JobCancelledError`, and any in-flight shard
+  finishes as a no-op on arrival.
 
-Threading contract: the scheduler thread is the *only* thread that
-touches the fleet after :meth:`start` (spawn, reap, dispatch, pipe
-reads) — the same one-driver rule :meth:`WorkerPool.run` relies on.
-Job bookkeeping is shared with submitter threads and is guarded by one
-lock; :meth:`snapshot` serves the daemon's ``ping`` from a
-lock-protected copy instead of letting the event loop read fleet
-internals mid-mutation.
+Threading contract: exactly one thread — the scheduler thread, or the
+caller running beats inline — touches the fleet (spawn, reap, dispatch,
+pipe reads).  Job bookkeeping is shared with submitter threads and is
+guarded by one lock; :meth:`snapshot` serves the daemon's ``ping`` from
+a copy refreshed on every job transition, before the job's waiter is
+released.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
-from multiprocessing import connection
-from typing import Any, Deque, Dict, List, Optional, Sequence
-
 from concurrent.futures import Future
+from dataclasses import dataclass, field, replace
+from multiprocessing import connection
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
+from repro.engine.cache import CacheStats
 from repro.engine.spec import SpannerSpec, TaskSpec
-from repro.faults import fault_point
-from repro.obs.metrics import get_registry, merge_snapshots
-from repro.obs.trace import get_tracer
-from repro.parallel.pool import ParallelExecutionError, _debug
-from repro.parallel.sharding import Shard, ShardPlan
-
-from repro.service.fleet import PersistentFleet
-from repro.service.protocol import (
+from repro.errors import (
     DeadlineExceeded,
     JobCancelledError,
+    ParallelExecutionError,
     ServiceBusyError,
     ServiceError,
 )
+from repro.faults import fault_point
+from repro.obs.metrics import get_registry, merge_snapshots
+from repro.obs.trace import get_tracer
+from repro.parallel.sharding import Shard, ShardPlan
+from repro.store.prepstore import StoreStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.parallel.pool import WorkerPool
 
 #: Priorities outside this band are clamped: the weight is ``2**p``, and
 #: a runaway exponent must not be able to freeze every other tenant.
@@ -89,14 +121,90 @@ PRIORITY_MAX = 8
 MIN_SHARD_COST = 1.0
 
 
+def _debug(*parts) -> None:
+    """Scheduler trace, enabled by ``REPRO_PARALLEL_DEBUG=1`` (stderr)."""
+    if os.environ.get("REPRO_PARALLEL_DEBUG"):
+        import sys
+
+        print("[repro.parallel]", *parts, file=sys.stderr, flush=True)
+
+
+def aggregate_cache_stats(
+    per_worker: Sequence[Dict[str, CacheStats]]
+) -> Dict[str, CacheStats]:
+    """Sum per-worker engine cache stats layer-by-layer."""
+    merged: Dict[str, CacheStats] = {}
+    for stats in per_worker:
+        for layer, s in stats.items():
+            prev = merged.get(layer)
+            if prev is None:
+                merged[layer] = s
+            else:
+                merged[layer] = CacheStats(
+                    hits=prev.hits + s.hits,
+                    misses=prev.misses + s.misses,
+                    evictions=prev.evictions + s.evictions,
+                    size=prev.size + s.size,
+                    maxsize=prev.maxsize + s.maxsize,
+                    key_mode=s.key_mode,
+                )
+    return merged
+
+
+def aggregate_store_stats(
+    per_worker: Sequence[Optional[StoreStats]],
+) -> Optional[StoreStats]:
+    """Sum per-worker store counters (``None`` when no engine had a store)."""
+    merged: Optional[StoreStats] = None
+    for s in per_worker:
+        if s is None:
+            continue
+        if merged is None:
+            merged = StoreStats()
+        merged.hits += s.hits
+        merged.misses += s.misses
+        merged.rejects += s.rejects
+        merged.writes += s.writes
+        merged.quarantined += s.quarantined
+    return merged
+
+
 @dataclass
-class JobResult:
-    """What a completed job's future resolves to."""
+class ParallelReport:
+    """Everything one job produced: what its future resolves to.
+
+    ``results[k]`` is the payload of work item ``k`` in the caller's
+    original order.  ``retries``, ``workers_crashed`` and
+    ``watchdog_kills`` count this job's shards only.  Stats are both
+    kept per worker (diagnosis: is one worker cold?) and aggregated
+    (headline hit rates for the whole fleet); a per-call pool fills the
+    cache and store stats from its workers' farewells.
+    """
 
     results: List[object]
+    jobs: int
     shards: int
     retries: int = 0
     workers_crashed: int = 0
+    watchdog_kills: int = 0
+    worker_cache_stats: Dict[int, Dict[str, CacheStats]] = field(default_factory=dict)
+    worker_store_stats: Dict[int, Optional[StoreStats]] = field(default_factory=dict)
+    #: Latest cumulative registry snapshot per worker (see
+    #: :func:`repro.obs.metrics.merge_snapshots` for the merge rules).
+    worker_metrics: Dict[int, dict] = field(default_factory=dict)
+
+    @property
+    def cache_stats(self) -> Dict[str, CacheStats]:
+        return aggregate_cache_stats(list(self.worker_cache_stats.values()))
+
+    @property
+    def store_stats(self) -> Optional[StoreStats]:
+        return aggregate_store_stats(list(self.worker_store_stats.values()))
+
+    @property
+    def metrics(self) -> dict:
+        """The fleet-wide merged metrics snapshot."""
+        return merge_snapshots(list(self.worker_metrics.values()))
 
 
 class Job:
@@ -105,7 +213,7 @@ class Job:
     Created by :meth:`FleetScheduler.submit`; waiters block on
     :attr:`future` (a :class:`concurrent.futures.Future`, bridgeable
     into asyncio with ``wrap_future``), which resolves to a
-    :class:`JobResult` or raises the job's failure.
+    :class:`ParallelReport` or raises the job's failure.
     """
 
     __slots__ = (
@@ -123,6 +231,7 @@ class Job:
         "retries",
         "retries_total",
         "crashes",
+        "watchdog_kills",
         "vtime",
         "deadline",
         "client_deadline",
@@ -161,16 +270,17 @@ class Job:
         self.retries: Dict[int, int] = {}  # global shard id -> attempts failed
         self.retries_total = 0
         self.crashes = 0  # workers this job's shards took down
+        self.watchdog_kills = 0  # ... of which the watchdog killed
         self.vtime = 0.0
-        #: ``deadline`` is the server-side safety net (``job_timeout``);
-        #: ``client_deadline`` is the caller's latency contract
-        #: (``deadline_ms`` on the wire) — they expire with different
-        #: exception types, so the two slots stay separate.
+        #: ``deadline`` is the scheduler's safety net (the fleet's
+        #: ``timeout``); ``client_deadline`` is the caller's latency
+        #: contract (``deadline_ms`` on the wire) — they expire with
+        #: different exception types, so the two slots stay separate.
         self.deadline = deadline
         self.client_deadline = client_deadline
         self.mean_cost = MIN_SHARD_COST  # set at admission, from the plan
         self.cancel_on_disconnect = cancel_on_disconnect
-        self.future: "Future[JobResult]" = Future()
+        self.future: "Future[ParallelReport]" = Future()
         self.submitted_at = time.monotonic()
         # Queue-time span: opened at admission when the task carries a
         # trace context, finished at this job's *first* shard dispatch —
@@ -216,33 +326,30 @@ class SchedulerStats:
 
 class FleetScheduler:
     """Weighted-fair, cancellable, quota-bounded multiplexer of one
-    :class:`PersistentFleet` across concurrent jobs (see module doc)."""
+    :class:`~repro.parallel.pool.WorkerPool` fleet across concurrent
+    jobs (see module doc).
+
+    Retry, timeout and watchdog settings are the fleet's own
+    (``max_retries``, ``timeout`` per job, ``shard_timeout``).
+    """
 
     def __init__(
         self,
-        fleet: PersistentFleet,
+        fleet: "WorkerPool",
         *,
         max_pending_jobs: int = 32,
         max_jobs_per_client: int = 8,
-        max_retries: Optional[int] = None,
-        job_timeout: Optional[float] = None,
-        shard_timeout: Optional[float] = None,
     ) -> None:
         self.fleet = fleet
         self.max_pending_jobs = max_pending_jobs
         self.max_jobs_per_client = max_jobs_per_client
-        self.max_retries = fleet.max_retries if max_retries is None else max_retries
-        self.job_timeout = fleet.timeout if job_timeout is None else job_timeout
-        #: Hung-shard watchdog base: the execution allowance, in seconds,
-        #: of a shard of its job's *mean* planned cost.  A costlier shard
-        #: gets proportionally longer, and every failed attempt doubles
-        #: the allowance so a merely-slow shard converges instead of
-        #: being killed forever.  ``None`` disables the watchdog.
-        self.shard_timeout = shard_timeout
+        self.max_retries = fleet.max_retries
+        self.job_timeout = fleet.timeout
+        self.shard_timeout = fleet.shard_timeout
         self._lock = threading.Lock()
         self._jobs: Dict[int, Job] = {}  # admitted, not yet resolved
         self._shard_owner: Dict[int, Job] = {}  # global shard id -> job
-        #: Latest cumulative registry snapshot per worker ("done"/"bye"
+        #: Latest cumulative registry snapshot per worker ("done"
         #: messages carry them; merged on demand by :meth:`metrics`).
         self._worker_metrics: Dict[int, Dict[str, Any]] = {}
         #: Dispatch timestamps of in-flight shards (per-shard latency,
@@ -251,11 +358,24 @@ class FleetScheduler:
         #: Shards whose worker the watchdog already killed: guards
         #: against double-kills between the kill and the EOF reap.
         self._watchdog_killed: set = set()
+        #: Workers the fleet is kept at (set by :meth:`open`).
+        self._strength = 0
+        #: Crash budget state: workers that died before ``ready`` and
+        #: shards admitted since a worker last became ready, plus the
+        #: traceback the last of them reported.
+        self._hydration_failures = 0
+        self._budget_shards = 0
+        self._hydration_error = ""
         self._next_job_id = 1
         self._next_shard_id = 0
         self._vclock = 0.0
         self._stats = SchedulerStats()
+        #: Stat values already mirrored into the metrics registry: the
+        #: registry counters are process-wide and must stay cumulative
+        #: across the per-call schedulers of one process.
+        self._mirrored: Dict[str, int] = {}
         self._snapshot: Dict[str, Any] = {}
+        self._accepting = False
         self._stop = False
         self._thread: Optional[threading.Thread] = None
         # The wake pipe sits in the same connection.wait() as the worker
@@ -265,13 +385,21 @@ class FleetScheduler:
 
     # -- lifecycle (caller threads) -------------------------------------
 
+    def open(self, workers: Optional[int] = None) -> "FleetScheduler":
+        """Spawn the fleet to ``workers`` (default: its ``jobs``) and
+        start accepting jobs.  The caller then drives :meth:`beat`."""
+        self._strength = self.fleet.jobs if workers is None else workers
+        self._refill()
+        with self._lock:
+            self._accepting = True
+            self._update_snapshot_locked()
+        return self
+
     def start(self) -> "FleetScheduler":
-        """Open the fleet and start the scheduler thread (idempotent)."""
+        """Open the fleet and run beats on a scheduler thread (idempotent)."""
         if self._thread is not None:
             return self
-        self.fleet.open()
-        with self._lock:
-            self._update_snapshot_locked()
+        self.open()
         self._thread = threading.Thread(
             target=self._loop, name="repro-fleet-scheduler", daemon=True
         )
@@ -281,29 +409,24 @@ class FleetScheduler:
     def close(self, timeout: float = 60.0) -> None:
         """Stop scheduling and release the fleet (idempotent).
 
-        Outstanding jobs are failed with a shutting-down error; the
-        scheduler thread then closes the fleet gracefully (sentinels,
-        bounded goodbye window).  A wedged scheduler thread falls back
-        to a hard fleet abort so shutdown stays bounded.
+        Outstanding jobs are failed with a shutting-down error and the
+        fleet is closed gracefully (sentinels, bounded goodbye window).
+        A wedged scheduler thread falls back to a hard fleet abort so
+        shutdown stays bounded.
         """
         with self._lock:
             self._stop = True
         self._wake()
         thread = self._thread
         if thread is None:
-            with self._lock:
-                self._fail_all_jobs_locked(ServiceError("scheduler never started"))
-            self.fleet.close()
-            return
-        thread.join(timeout=timeout)
-        if thread.is_alive():  # pragma: no cover - defensive backstop
-            self.fleet.abort()
-
-    @property
-    def running(self) -> bool:
-        return (
-            self._thread is not None and self._thread.is_alive() and not self._stop
-        )
+            self._shutdown()
+        else:
+            thread.join(timeout=timeout)
+            if thread.is_alive():  # pragma: no cover - defensive backstop
+                self.fleet.abort()
+                return
+        self._wake_rx.close()
+        self._wake_tx.close()
 
     # -- admission / cancellation (caller threads) ----------------------
 
@@ -336,7 +459,7 @@ class FleetScheduler:
         )
         client_deadline = None if deadline is None else now + deadline
         with self._lock:
-            if self._stop or self._thread is None:
+            if self._stop or not self._accepting:
                 raise ServiceError("the scheduler is not accepting jobs (shutting down)")
             if len(self._jobs) >= self.max_pending_jobs:
                 self._stats.jobs_rejected_busy += 1
@@ -383,15 +506,18 @@ class FleetScheduler:
                 )
             job.vtime = self._vclock  # join *now*, not behind the backlog
             self._jobs[job.job_id] = job
+            # New work widens the crash budget, which also re-arms the
+            # refill of a fleet that spent it.
+            self._budget_shards += job.num_shards
             self._stats.jobs_admitted += 1
             _debug(
                 "scheduler admit job", job.job_id, "shards", job.num_shards,
                 "priority", job.priority, "tag", tag, "client", client_id,
             )
             if job.num_shards == 0:  # empty grid: resolve immediately
-                self._resolve_locked(job)
-                job.future.set_result(JobResult(results=[], shards=0))
-                self._stats.jobs_completed += 1
+                self._complete_job_locked(job)
+            else:
+                self._update_snapshot_locked()
         self._wake()
         return job
 
@@ -417,7 +543,15 @@ class FleetScheduler:
                     continue
                 if on_disconnect and not job.cancel_on_disconnect:
                     continue
-                self._cancel_job_locked(job)
+                self._stats.jobs_cancelled += 1
+                self._resolve_locked(
+                    job,
+                    JobCancelledError(
+                        f"job {job.job_id}"
+                        + (f" (tag {job.tag!r})" if job.tag else "")
+                        + " was cancelled"
+                    ),
+                )
                 cancelled += 1
         if cancelled:
             self._wake()
@@ -434,51 +568,50 @@ class FleetScheduler:
 
     # -- job resolution (any thread, lock held) -------------------------
 
-    def _resolve_locked(self, job: Job) -> None:
-        """Remove a job from the active set and drop its pending shards."""
+    def _resolve_locked(
+        self, job: Job, outcome: Union[ParallelReport, BaseException]
+    ) -> None:
+        """Retire an unresolved job, then release its waiter.
+
+        The job leaves the active set and its pending shards are
+        dropped; the snapshot is refreshed *before* the future resolves,
+        so a ``ping`` sent after the waiter returns sees the transition.
+        In-flight shard ids stay in ``_shard_owner``: their late
+        messages must still resolve to this (done) job to be dropped.
+        """
         job.finish_queue_span()
         self._jobs.pop(job.job_id, None)
         while job.pending:
             shard = job.pending.popleft()
             self._shard_owner.pop(shard.shard_id, None)
-        # In-flight shard ids stay in _shard_owner: their late messages
-        # must still resolve to this (done) job so they can be dropped.
-
-    def _cancel_job_locked(self, job: Job) -> None:
-        self._resolve_locked(job)
-        if not job.done:
-            job.future.set_exception(
-                JobCancelledError(
-                    f"job {job.job_id}"
-                    + (f" (tag {job.tag!r})" if job.tag else "")
-                    + " was cancelled"
-                )
-            )
-            self._stats.jobs_cancelled += 1
+        self._update_snapshot_locked()
+        if isinstance(outcome, BaseException):
+            job.future.set_exception(outcome)
+        else:
+            job.future.set_result(outcome)
 
     def _fail_job_locked(self, job: Job, exc: BaseException) -> None:
-        self._resolve_locked(job)
-        if not job.done:
-            job.future.set_exception(exc)
-            self._stats.jobs_failed += 1
+        self._stats.jobs_failed += 1
+        self._resolve_locked(job, exc)
 
     def _complete_job_locked(self, job: Job) -> None:
-        self._resolve_locked(job)
-        if job.done:  # pragma: no cover - cancelled in the same beat
-            return
         results: List[object] = [None] * job.num_items
         for payload in job.payloads.values():
             for index, result in payload:
                 results[index] = result
-        job.future.set_result(
-            JobResult(
+        self._stats.jobs_completed += 1
+        self._resolve_locked(
+            job,
+            ParallelReport(
                 results=results,
+                jobs=self._strength,
                 shards=job.num_shards,
                 retries=job.retries_total,
                 workers_crashed=job.crashes,
-            )
+                watchdog_kills=job.watchdog_kills,
+                worker_metrics=dict(self._worker_metrics),
+            ),
         )
-        self._stats.jobs_completed += 1
         # The slow-query log: completed jobs land with their tenant tag,
         # so one tenant's q² blowup dragging the fleet is visible from
         # `stats --connect` without reading a full trace.
@@ -500,35 +633,62 @@ class FleetScheduler:
         for job in list(self._jobs.values()):
             self._fail_job_locked(job, exc)
 
-    # -- the scheduler loop (scheduler thread only) ---------------------
+    # -- the beat (scheduler thread / inline caller only) ---------------
+
+    def beat(self, timeout: float = 0.1) -> None:
+        """One scheduling round: expire → refill → dispatch → watchdog →
+        poll (up to ``timeout`` seconds for worker messages)."""
+        with self._lock:
+            # Expire *before* dispatching: a job whose deadline already
+            # passed must not get fleet time this beat.
+            self._expire_locked()
+        self._refill()
+        with self._lock:
+            self._dispatch_locked()
+            self._watchdog_locked()
+            self._update_snapshot_locked()
+        self._poll(timeout)
 
     def _loop(self) -> None:
         try:
-            while True:
-                with self._lock:
-                    if self._stop:
-                        break
-                    # Expire *before* dispatching: a job whose deadline
-                    # already passed must not get fleet time this beat
-                    # (the queued / pre-dispatch expiry stages).
-                    self._expire_locked()
-                    self._dispatch_locked()
-                    self._watchdog_locked()
-                    self._update_snapshot_locked()
-                self._poll(0.1)
+            while not self._stop:
+                self.beat()
         finally:
-            with self._lock:
-                self._fail_all_jobs_locked(
-                    ServiceError("daemon shutting down; job abandoned")
-                )
-                self._update_snapshot_locked()
-            self.fleet.close()
+            self._shutdown()
+
+    def _shutdown(self) -> None:
+        with self._lock:
+            self._fail_all_jobs_locked(
+                ServiceError("scheduler shutting down; job abandoned")
+            )
+        self.fleet.close()
 
     def _wake(self) -> None:
         try:
             self._wake_tx.send(None)
         except (OSError, ValueError):  # closing down
             pass
+
+    def _crash_budget_locked(self) -> int:
+        return self._strength + (self.max_retries + 1) * self._budget_shards
+
+    def _refill(self) -> None:
+        """Spawn the fleet back to strength, within the crash budget.
+
+        Workers that have not yet said ``ready`` may still fail to
+        hydrate, so no more of them are spawned than the budget has
+        room for: a fleet that cannot hydrate stops respawning instead
+        of looping, until an admission widens the budget.
+        """
+        with self._lock:
+            workers = self.fleet._worker_snapshot()
+            unproven = sum(1 for w in workers if not w.ready)
+            room = (
+                self._crash_budget_locked() - self._hydration_failures - unproven
+            )
+            missing = min(self._strength - len(workers), room)
+        for _ in range(missing):
+            self.fleet.spawn_worker()
 
     def _pick_job_locked(self) -> Optional[Job]:
         best: Optional[Job] = None
@@ -568,6 +728,7 @@ class FleetScheduler:
         for job in list(self._jobs.values()):
             if job.client_deadline is not None and now > job.client_deadline:
                 budget = job.client_deadline - job.submitted_at
+                self._stats.jobs_deadline_exceeded += 1
                 self._fail_job_locked(
                     job,
                     DeadlineExceeded(
@@ -575,7 +736,6 @@ class FleetScheduler:
                         f"({len(job.payloads)}/{job.num_shards} shards done)"
                     ),
                 )
-                self._stats.jobs_deadline_exceeded += 1
                 # The waiter is already released; reclaim the fleet time
                 # its in-flight shards are still burning.
                 self._kill_job_workers_locked(job)
@@ -594,7 +754,7 @@ class FleetScheduler:
 
         Only called once the job's future is resolved: the results can
         never be used, so the workers running its shards are killed and
-        respawned by the reaper instead of burning fleet time other
+        replaced by the refill instead of burning fleet time other
         tenants could use.  Orphaned shard ids stay in ``_shard_owner``
         until the reap drops them, exactly like any late message.
         """
@@ -618,7 +778,7 @@ class FleetScheduler:
         its job's mean (``shard.cost`` is the plan's cost model) and
         doubles with every prior failed attempt, so a legitimately slow
         shard eventually gets through while a truly wedged worker is
-        killed, respawned, and its shard retried under the job's normal
+        killed, replaced, and its shard retried under the job's normal
         retry budget.
         """
         if self.shard_timeout is None:
@@ -637,6 +797,8 @@ class FleetScheduler:
                 continue
             self._watchdog_killed.add(shard.shard_id)
             self._stats.watchdog_kills += 1
+            if job is not None:
+                job.watchdog_kills += 1
             get_registry().counter("sched.watchdog_kills").inc()
             _debug(
                 "scheduler watchdog kill worker", worker.wid, "shard",
@@ -684,13 +846,18 @@ class FleetScheduler:
     def _handle(self, worker, message) -> None:
         kind = message[0]
         _debug("scheduler recv", kind, "from worker", worker.wid)
-        if kind == "ready":
-            worker.ready = True
-            return
         if kind == "bye":  # pragma: no cover - close() drains these
             return
         with self._lock:
-            if kind == "done":
+            if kind == "ready":
+                # A hydrated worker proves the fleet healthy: the crash
+                # budget restarts from the work still admitted.
+                worker.ready = True
+                self._hydration_failures = 0
+                self._budget_shards = sum(
+                    job.num_shards for job in self._jobs.values()
+                )
+            elif kind == "done":
                 _, _, shard_id, payload, metrics = message
                 worker.assigned = None
                 self._worker_metrics[worker.wid] = metrics  # cumulative
@@ -708,7 +875,10 @@ class FleetScheduler:
                 _, _, shard_id, trace = message
                 shard, worker.assigned = worker.assigned, None
                 if shard is None:
-                    return  # hydration failure pre-ready; EOF reap follows
+                    # Hydration failed before "ready": keep the worker's
+                    # traceback; the EOF reap that follows charges it.
+                    self._hydration_error = trace
+                    return
                 self._dispatched_at.pop(shard.shard_id, None)
                 self._watchdog_killed.discard(shard.shard_id)
                 job = self._shard_owner.get(shard.shard_id)
@@ -744,7 +914,9 @@ class FleetScheduler:
         job.pending.appendleft(shard)  # retry soon, at the job's own vtime
 
     def _reap(self, worker) -> None:
-        """Remove a dead worker, charge its job, respawn a replacement."""
+        """Remove a dead worker and charge its shard's job or, for a
+        worker that never became ready, the fleet's crash budget.  The
+        next beat's refill replaces it."""
         with self._lock:
             self.fleet.remove_worker(worker.wid)
             self._stats.workers_crashed += 1
@@ -752,34 +924,45 @@ class FleetScheduler:
                 "scheduler reap worker", worker.wid,
                 "exitcode", worker.process.exitcode,
             )
+            if not worker.ready:
+                self._hydration_failures += 1
+                budget = self._crash_budget_locked()
+                if self._hydration_failures >= budget:
+                    self._fail_all_jobs_locked(
+                        ParallelExecutionError(
+                            f"{self._hydration_failures} workers died before "
+                            f"becoming ready, spending the fleet's crash "
+                            f"budget ({budget}); last failure:\n"
+                            f"{self._hydration_error or '(no traceback captured)'}"
+                        )
+                    )
+                return
             shard = worker.assigned
-            if shard is not None:
-                worker.assigned = None
-                self._dispatched_at.pop(shard.shard_id, None)
-                watchdogged = shard.shard_id in self._watchdog_killed
-                self._watchdog_killed.discard(shard.shard_id)
-                job = self._shard_owner.get(shard.shard_id)
-                if job is not None and not job.done:
-                    job.crashes += 1
-                    if watchdogged:
-                        why = (
-                            f"worker {worker.wid} was killed by the "
-                            f"hung-shard watchdog: shard {shard.shard_id} "
-                            f"exceeded its execution allowance "
-                            f"(shard_timeout={self.shard_timeout}s)"
-                        )
-                    else:
-                        why = (
-                            f"worker {worker.wid} died (exit code "
-                            f"{worker.process.exitcode}) while running shard "
-                            f"{shard.shard_id}"
-                        )
-                    self._retry_shard_locked(job, shard, why)
-                else:
-                    self._shard_owner.pop(shard.shard_id, None)
-        # A persistent fleet is kept at strength unconditionally: it
-        # serves every tenant, not just the one whose shard crashed.
-        self.fleet.spawn_worker()
+            if shard is None:
+                return
+            worker.assigned = None
+            self._dispatched_at.pop(shard.shard_id, None)
+            watchdogged = shard.shard_id in self._watchdog_killed
+            self._watchdog_killed.discard(shard.shard_id)
+            job = self._shard_owner.get(shard.shard_id)
+            if job is None or job.done:
+                self._shard_owner.pop(shard.shard_id, None)
+                return
+            job.crashes += 1
+            if watchdogged:
+                why = (
+                    f"worker {worker.wid} was killed by the "
+                    f"hung-shard watchdog: shard {shard.shard_id} "
+                    f"exceeded its execution allowance "
+                    f"(shard_timeout={self.shard_timeout}s)"
+                )
+            else:
+                why = (
+                    f"worker {worker.wid} died (exit code "
+                    f"{worker.process.exitcode}) while running shard "
+                    f"{shard.shard_id}"
+                )
+            self._retry_shard_locked(job, shard, why)
 
     def metrics(self) -> Dict[str, Any]:
         """The merged metrics view served by the ``metrics`` wire op.
@@ -805,29 +988,39 @@ class FleetScheduler:
         # (completed ones are popped on arrival), so the difference is
         # what is on the workers right now — including orphaned shards
         # of cancelled jobs still draining.
-        inflight = len(self._shard_owner) - queued
+        inflight = max(len(self._shard_owner) - queued, 0)
+        stats = self._stats.as_dict()
         scheduler: Dict[str, Any] = {
             "active_jobs": len(self._jobs),
             "queued_shards": queued,
-            "inflight_shards": max(inflight, 0),
+            "inflight_shards": inflight,
             "max_pending_jobs": self.max_pending_jobs,
             "max_jobs_per_client": self.max_jobs_per_client,
         }
-        scheduler.update(self._stats.as_dict())
+        scheduler.update(stats)
         # Mirror the queue state and counters into the metrics registry:
         # gauges merge by max, so the merged view reports high-water
-        # marks; the counters are set (not inc'd) to stay cumulative.
+        # marks; counters advance by what changed since the last mirror.
         registry = get_registry()
         registry.gauge("scheduler.active_jobs").set(len(self._jobs))
         registry.gauge("scheduler.queued_shards").set(queued)
-        registry.gauge("scheduler.inflight_shards").set(max(inflight, 0))
-        for name, value in self._stats.as_dict().items():
-            registry.counter(f"scheduler.{name}").value = value
-        workers = self.fleet._worker_snapshot()
+        registry.gauge("scheduler.inflight_shards").set(inflight)
+        for name, value in stats.items():
+            delta = value - self._mirrored.get(name, 0)
+            if delta:
+                registry.counter(f"scheduler.{name}").inc(delta)
+                self._mirrored[name] = value
+        # One exit-code read per worker: a worker that died but is not
+        # yet reaped must not count as alive while listing its pid.
+        alive = [
+            w.process.pid
+            for w in self.fleet._worker_snapshot()
+            if w.process.exitcode is None
+        ]
         self._snapshot = {
             "jobs": self.fleet.jobs,
-            "alive": sum(1 for w in workers if w.process.exitcode is None),
-            "pids": [w.process.pid for w in workers],
+            "alive": len(alive),
+            "pids": alive,
             "scheduler": scheduler,
         }
 
@@ -835,8 +1028,10 @@ class FleetScheduler:
 __all__ = [
     "FleetScheduler",
     "Job",
-    "JobResult",
     "PRIORITY_MAX",
     "PRIORITY_MIN",
+    "ParallelReport",
     "SchedulerStats",
+    "aggregate_cache_stats",
+    "aggregate_store_stats",
 ]

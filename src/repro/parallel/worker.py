@@ -8,9 +8,17 @@ the Lemma 6.5 tables and persists them; every later worker — in this run
 or the next — restores them with the store's bulk word decode instead of
 re-running the ``O(size(S) · q²)`` recurrence.
 
-Message protocol (worker → parent, over the worker's private result
-pipe — one writer per channel, so a crash can never wedge a sibling;
-see the :mod:`repro.parallel.pool` docstring):
+One entry point, :func:`worker_main`, serves both fleet lifetimes (a
+per-call :meth:`~repro.parallel.pool.WorkerPool.run` and the service
+daemon): the worker hydrates from the config alone and takes its
+spanners and task with every shard, so a long-lived worker can serve
+any request while a short-lived one runs exactly the same code.
+
+Message protocol, parent → worker over the private task pipe:
+``(shard, spanner_specs, task_spec)`` per dispatch, ``None`` to shut
+down.  Worker → parent, over the private result pipe — one writer per
+channel, so a crash can never wedge a sibling (see the
+:mod:`repro.parallel.pool` docstring):
 
 * ``("ready", wid)`` — hydration done, give me work;
 * ``("done", wid, shard_id, [(item_index, payload), ...], metrics)`` — a
@@ -20,14 +28,15 @@ see the :mod:`repro.parallel.pool` docstring):
   keeps the latest per worker and merges across workers;
 * ``("error", wid, shard_id, traceback_text)`` — the shard raised; the
   worker survives and asks for more work, the parent re-queues the shard
-  (capped);
+  (capped).  ``shard_id`` is ``None`` when hydration itself failed; the
+  worker then exits;
 * ``("bye", wid, cache_stats, store_stats, metrics)`` — sentinel
   acknowledged; the per-worker stats ride home on the farewell message.
 
 A worker that dies *without* a message (segfault, ``os._exit``, OOM
 kill) is detected by the parent through EOF on this pipe (exit-code
-polling as backstop); the shard it held is re-queued to a surviving
-worker (see :class:`~repro.parallel.pool.WorkerPool`).
+polling as backstop); the shard it held is re-queued and the worker
+replaced (see :class:`~repro.parallel.scheduler.FleetScheduler`).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.engine.spec import EngineConfig, SpannerSpec, TaskSpec
 from repro.faults import FaultRule, fault_point, inject
@@ -45,7 +54,7 @@ from repro.slp import io as slp_io
 
 from repro.parallel.sharding import Shard
 
-#: The per-shard injection site of both worker loops: an armed
+#: The per-shard injection site of the worker loop: an armed
 #: ``REPRO_FAULTS`` plan (inherited through the spawn environment) can
 #: crash, hang, or fail a shard here, and the legacy ``fault_token``
 #: shim below fires at the same site.
@@ -142,92 +151,36 @@ def _traced_shard(engine, resolved_spanners, task: TaskSpec, shard: Shard):
     return payload
 
 
-def worker_main(
-    worker_id: int,
-    task_conn,
-    result_conn,
-    config: EngineConfig,
-    spanner_specs: Sequence[SpannerSpec],
-    task: TaskSpec,
-) -> None:
-    """Entry point of one worker process (module-level: spawn-safe).
-
-    ``task_conn``/``result_conn`` are this worker's private pipe ends;
-    the parent holds the opposite ends.
-    """
-    try:
-        engine = config.build()
-        # Resolve every spanner spec once: within this worker even an
-        # identity-keyed engine shares prepared automata across items.
-        resolved = tuple(spec.resolve() for spec in spanner_specs)
-    except BaseException:
-        # Hydration failed: report once so the parent can surface the
-        # traceback instead of diagnosing a silent early exit.
-        result_conn.send(("error", worker_id, None, traceback.format_exc()))
-        return
-    result_conn.send(("ready", worker_id))
-    while True:
-        try:
-            shard = task_conn.recv()
-        except (EOFError, OSError):
-            return  # parent went away: nothing useful left to do
-        if shard is None:
-            result_conn.send(
-                (
-                    "bye",
-                    worker_id,
-                    engine.cache_stats(),
-                    engine.store_stats(),
-                    metrics_snapshot(engine),
-                )
-            )
-            return
-        try:
-            maybe_inject_fault(shard.fault_token)
-            fault_point(SHARD_FAULT_SITE)
-            payload = _traced_shard(engine, resolved, task, shard)
-        except Exception:  # repro-check: broad-except — worker fault barrier: any shard failure becomes an error message, the worker survives
-            result_conn.send(
-                ("error", worker_id, shard.shard_id, traceback.format_exc())
-            )
-            continue
-        result_conn.send(
-            ("done", worker_id, shard.shard_id, payload, metrics_snapshot(engine))
-        )
-
-
-#: Cap on the per-worker resolved-spanner cache of a *persistent* worker
-#: (the daemon fleet serves arbitrarily many requests; compiled automata
-#: are small, but the cache must not grow without bound forever).
+#: Cap on the per-worker resolved-spanner cache (a daemon worker serves
+#: arbitrarily many requests; compiled automata are small, but the cache
+#: must not grow without bound forever).
 MAX_RESOLVED_SPANNERS = 256
 
 
 def _spec_cache_key(spec: SpannerSpec):
-    """A value key for a spec: persistent workers receive every spec as a
-    *fresh* unpickled object, so identity cannot deduplicate repeats."""
+    """A value key for a spec: workers receive every spec as a *fresh*
+    unpickled object, so identity cannot deduplicate repeats."""
     if spec.nfa is not None:
         return ("nfa", spec.nfa.structural_digest())
     return ("pattern", spec.pattern, spec.alphabet)
 
 
-def service_worker_main(
+def worker_main(
     worker_id: int,
     task_conn,
     result_conn,
     config: EngineConfig,
 ) -> None:
-    """Entry point of one *persistent* service worker (daemon fleet).
+    """Entry point of one worker process (module-level: spawn-safe).
 
-    Same pipes, same message protocol, same engine hydration and the
-    same :func:`run_shard` execution as :func:`worker_main` — which is
-    what keeps daemon-backed results bit-identical to the per-call pool
-    — but the fleet outlives any single request, so the spanners and
-    task arrive *per dispatch*: a task message is ``(shard,
-    spanner_specs, task_spec)`` instead of a bare shard, and the worker
-    resolves (and caches, by content) spanner specs as they appear.
-    The worker's engine persists across requests, so its document /
-    spanner / preprocessing caches keep amortising work for the whole
-    daemon lifetime.
+    ``task_conn``/``result_conn`` are this worker's private pipe ends;
+    the parent holds the opposite ends.  The worker hydrates its engine
+    from ``config`` alone; the spanners and task arrive *per dispatch*
+    — a task message is ``(shard, spanner_specs, task_spec)`` — and the
+    worker resolves (and caches, by content) spanner specs as they
+    appear.  The engine lives as long as the worker, so in a daemon
+    fleet its document / spanner / preprocessing caches keep amortising
+    work across requests.
     """
     try:
         engine = config.build()
@@ -280,6 +233,5 @@ __all__ = [
     "maybe_inject_fault",
     "metrics_snapshot",
     "run_shard",
-    "service_worker_main",
     "worker_main",
 ]

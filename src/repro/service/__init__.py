@@ -3,11 +3,11 @@
 The parallel layer (PR 3) amortises work across the workers of one
 call; this package amortises it across *invocations*.  ``repro-spanner
 serve --socket PATH`` runs a long-lived asyncio daemon
-(:mod:`repro.service.server`) that owns a persistent worker fleet
-(:mod:`repro.service.fleet` — the PR 3 pool with the spawn/teardown
-moved out of the request path), multiplexes it across concurrent
-tenants with a weighted-fair shard scheduler
-(:mod:`repro.service.scheduler` — priorities, cancellation, quotas,
+(:mod:`repro.service.server`) that keeps one worker fleet (a
+:class:`~repro.parallel.pool.WorkerPool`) alive across requests,
+multiplexes it across concurrent tenants with the
+weighted-fair shard scheduler every parallel run uses
+(:mod:`repro.parallel.scheduler` — priorities, cancellation, quotas,
 ``busy`` backpressure), and answers length-prefixed JSON requests
 (:mod:`repro.service.protocol`) over a unix socket.  Clients —
 ``repro-spanner query/batch/stats --connect PATH``, or any
@@ -27,8 +27,8 @@ Typical use::
         counts = session.corpus(spanner, paths, task="count")
 """
 
+from repro.parallel.scheduler import FleetScheduler
 from repro.service.client import ServiceClient, wait_ready
-from repro.service.fleet import PersistentFleet
 from repro.service.protocol import (
     DeadlineExceeded,
     JobCancelledError,
@@ -37,14 +37,12 @@ from repro.service.protocol import (
     ServiceError,
     ServiceUnavailableError,
 )
-from repro.service.scheduler import FleetScheduler
 from repro.service.server import ServiceThread, SpannerService, serve
 
 __all__ = [
     "DeadlineExceeded",
     "FleetScheduler",
     "JobCancelledError",
-    "PersistentFleet",
     "ProtocolError",
     "ServiceBusyError",
     "ServiceClient",

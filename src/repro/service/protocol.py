@@ -41,7 +41,15 @@ import struct
 import traceback as traceback_module
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Type
 
-from repro.errors import ReproError
+# The scheduler's errors live in repro.errors (the scheduler sits in
+# repro.parallel, below this package); they are re-exported here under
+# the names the wire's remote-type map and every client catch.
+from repro.errors import (
+    DeadlineExceeded,
+    JobCancelledError,
+    ServiceBusyError,
+    ServiceError,
+)
 from repro.faults import fault_point
 from repro.obs.metrics import BYTE_BUCKETS, get_registry
 from repro.spanner.spans import Span, SpanTuple
@@ -77,54 +85,8 @@ REQUEST_KINDS: Dict[str, str] = {
 }
 
 
-class ServiceError(ReproError):
-    """A service request failed (transport error or remote exception).
-
-    For remote exceptions, ``remote_type`` holds the exception class
-    name raised in the daemon and the message embeds the remote
-    traceback text.
-    """
-
-    def __init__(self, message: str, remote_type: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.remote_type = remote_type
-
-
 class ProtocolError(ServiceError):
     """A malformed frame (bad length, bad JSON, bad envelope)."""
-
-
-class ServiceBusyError(ServiceError):
-    """The daemon refused admission (quota / backpressure).
-
-    This is the structured back-off signal: the daemon is healthy but
-    at its configured concurrency bound (``max_pending_jobs`` across
-    all clients, or ``max_jobs_per_client`` for this connection).  The
-    request was *not* queued — retrying later is safe and expected.
-    On the wire it is an error frame with ``"busy": true`` alongside
-    the usual error payload.
-    """
-
-
-class JobCancelledError(ServiceError):
-    """A submitted job was cancelled before it completed.
-
-    Raised remotely by the scheduler when a ``cancel`` op matches the
-    job's tag (or its client disconnects with ``cancel_on_disconnect``),
-    and re-raised under the same type by the client.
-    """
-
-
-class DeadlineExceeded(ServiceError):
-    """A request's ``deadline_ms`` budget ran out before it completed.
-
-    Raised by the scheduler whether the job was still queued, between
-    dispatches, or mid-shard (in-flight shards are cancelled by killing
-    their workers); re-raised under the same type by the client.  The
-    deadline is the *caller's* latency contract — distinct from the
-    server-side ``job_timeout`` safety net, which raises
-    ``ParallelExecutionError``.
-    """
 
 
 class ServiceUnavailableError(ServiceError):

@@ -2,14 +2,17 @@
 
 ``repro-spanner serve --socket PATH`` runs a :class:`SpannerService`:
 a long-lived asyncio server that owns a
-:class:`~repro.service.fleet.PersistentFleet` of engine-hydrating
-workers and answers length-prefixed JSON requests
-(:mod:`repro.service.protocol`) over a unix domain socket.  Because the
-daemon — and its fleet, and every worker's engine caches, and the
-shared preprocessing store — survives across CLI invocations and
-network callers, the expensive ``O(size(S) · q²)`` Lemma 6.5
-preprocessing is paid once per daemon lifetime instead of once per
-process.
+:class:`~repro.parallel.pool.WorkerPool` of engine-hydrating workers,
+driven by a :class:`~repro.parallel.scheduler.FleetScheduler` on its
+own thread, and answers length-prefixed JSON requests
+(:mod:`repro.service.protocol`) over a unix domain socket.  It is the
+same scheduler a per-call ``WorkerPool.run`` drives inline — same
+dispatch, retries, crash budget and watchdog — kept running for the
+daemon's lifetime.  Because the daemon — and its fleet, and every
+worker's engine caches, and the shared preprocessing store — survives
+across CLI invocations and network callers, the expensive
+``O(size(S) · q²)`` Lemma 6.5 preprocessing is paid once per daemon
+lifetime instead of once per process.
 
 Request handling is multi-tenant:
 
@@ -17,11 +20,10 @@ Request handling is multi-tenant:
   directly on the event loop — ``ping`` from the scheduler's
   lock-protected snapshot, never from live fleet internals;
 * **``run``** is validated and planned on a small executor, then
-  admitted to the :class:`~repro.service.scheduler.FleetScheduler`,
-  which interleaves its shards with every other admitted job
-  (weighted-fair by priority, cancellable, quota-bounded — admission
-  past the bound returns a structured ``busy`` frame instead of
-  queueing);
+  admitted to the scheduler, which interleaves its shards with every
+  other admitted job (weighted-fair by priority, cancellable,
+  quota-bounded — admission past the bound returns a structured
+  ``busy`` frame instead of queueing);
 * **``check``** runs on the executor against a parent-side engine.
 
 Connections are *pipelined*: every request frame is served by its own
@@ -35,9 +37,9 @@ the daemon keeps serving.
 
 A ``run`` request is sharded with the existing LPT planner
 (digest-affinity grouping, grammar-size cost model) and executed by the
-persistent fleet; results return in row-major request order,
-bit-identical to the serial engine (the differential harness enforces
-this end to end through a real socket).
+fleet; results return in row-major request order, bit-identical to the
+serial engine (the differential harness enforces this end to end
+through a real socket).
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from dataclasses import replace
 from repro.engine.spec import TaskSpec
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, get_tracer
+from repro.parallel.pool import WorkerPool
+from repro.parallel.scheduler import FleetScheduler, ParallelReport
 from repro.parallel.sharding import ShardPlan, grid_items, plan_shards
 from repro.service import protocol
-from repro.service.fleet import PersistentFleet
 from repro.service.protocol import ProtocolError, ServiceBusyError, ServiceError
-from repro.service.scheduler import FleetScheduler, JobResult
 from repro.session import SessionConfig
 from repro.slp import io as slp_io
 
@@ -100,21 +102,21 @@ class SpannerService:
             # (workers get theirs via EngineConfig.trace_path).
             get_tracer().configure(self.config.trace)
         jobs = max(1, self.config.jobs)
-        self.fleet = PersistentFleet(
+        self.fleet = WorkerPool(
             jobs,
             self.config.engine_config(cross_process=True),
             max_retries=self.config.max_retries,
             timeout=self.config.timeout,
+            shard_timeout=self.config.shard_timeout,
         )
         self.scheduler = FleetScheduler(
             self.fleet,
             max_pending_jobs=self.config.max_pending_jobs,
             max_jobs_per_client=self.config.max_jobs_per_client,
-            shard_timeout=self.config.shard_timeout,
         )
         # Planning/validation/encoding only — evaluation itself is the
         # scheduler's, so this thread never serialises jobs behind each
-        # other the way the old FIFO executor did.
+        # other.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-aux"
         )
@@ -136,7 +138,7 @@ class SpannerService:
         """Bind the socket (owner-only) and start the scheduled fleet."""
         self._stop_event = asyncio.Event()
         self._reclaim_stale_socket(socket_path)
-        self.scheduler.start()  # opens the fleet
+        self.scheduler.start()  # spawns the fleet
         try:
             self._server = await asyncio.start_unix_server(
                 self._on_connection, path=socket_path
@@ -384,8 +386,7 @@ class SpannerService:
         # Fail a malformed request *here*, before fan-out: a bad limit,
         # bad pattern or missing file would otherwise raise in every
         # worker and burn the job's retry budget — a single bad client
-        # request must never cost the fleet its time (and under the old
-        # FIFO design it cost the daemon its warmth via a fleet reset).
+        # request must never cost the fleet its time.
         for path in paths:
             if not os.path.exists(path):
                 raise FileNotFoundError(f"no such document: {path}")
@@ -426,7 +427,7 @@ class SpannerService:
             mapping.update({int(k): str(v) for k, v in tokens.items()})
         return plan.with_fault_tokens(mapping)
 
-    def _encode_grid(self, task: TaskSpec, result: JobResult) -> dict:
+    def _encode_grid(self, task: TaskSpec, result: ParallelReport) -> dict:
         return {
             "task": task.task,
             "results": [
@@ -490,9 +491,9 @@ class SpannerService:
     def _info(self) -> dict:
         import repro
 
-        # One consistent snapshot, built by the scheduler thread under
-        # its lock — never a direct read of fleet internals while the
-        # scheduler mutates them (the old torn-ping race).
+        # One consistent snapshot, built by the scheduler under its lock
+        # — never a direct read of fleet internals while the scheduler
+        # mutates them.
         snapshot = self.scheduler.snapshot()
         scheduler_info = snapshot.pop("scheduler", {})
         registry = get_registry()

@@ -9,11 +9,13 @@ workloads lives in ``tests/test_differential.py``.
 import multiprocessing
 import os
 import tempfile
+import time
 
 import pytest
 
 from repro.engine import Engine, EngineConfig, SpannerSpec, TaskSpec, evaluate_corpus
 from repro.engine.batch import run_batch
+from repro.faults import parse_plan, set_plan
 from repro.parallel import (
     ParallelExecutionError,
     WorkItem,
@@ -287,6 +289,46 @@ class TestPool:
         assert report.jobs == 1  # one shard: no point paying for 8 workers
         assert report.results == evaluate_corpus(spanner, docs)
 
+    def test_unhydratable_fleet_fails_fast_with_the_worker_traceback(
+        self, small_corpus
+    ):
+        """Workers that die before ``ready`` spend the fleet's crash
+        budget; past it the call fails with the reported traceback
+        instead of respawning until a timeout."""
+        started = time.monotonic()
+        with pytest.raises(ParallelExecutionError, match="unknown kernel 'bogus'"):
+            parallel_corpus(
+                ab_spanner(), small_corpus, kernel="bogus", jobs=2, timeout=TIMEOUT
+            )
+        assert time.monotonic() - started < 5.0
+        assert not _leftover_workers()
+
+    def test_shard_timeout_recovers_a_hung_shard(self, small_corpus, tmp_path):
+        """The per-call watchdog kills a hung worker and retries its
+        shard: the first shard attempt anywhere in the fleet hangs for
+        60 s, every later one runs normally."""
+        spanner = ab_spanner()
+        serial = evaluate_corpus(
+            spanner, [slp_io.load_file(p) for p in small_corpus]
+        )
+        counter = tmp_path / "hang-once"
+        set_plan(parse_plan(f"worker.shard:hang:nth=1,counter={counter},arg=60"))
+        started = time.monotonic()
+        try:
+            report = parallel_corpus(
+                spanner,
+                small_corpus,
+                jobs=2,
+                shard_timeout=1.0,
+                timeout=TIMEOUT,
+                report=True,
+            )
+        finally:
+            set_plan(None)
+        assert time.monotonic() - started < 30.0
+        assert report.watchdog_kills >= 1
+        assert report.results == serial
+
 
 def _leftover_workers():
     """Live ``repro-parallel-*`` children of this process."""
@@ -368,6 +410,21 @@ class TestShutdown:
         assert spill_dirs, "the in-memory corpus was never spilled"
         for directory in spill_dirs:
             assert not os.path.exists(directory), f"leaked spill dir {directory}"
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_repeated_calls_leak_no_descriptors_or_children(self, small_corpus):
+        """Every call builds (and must release) its own fleet and
+        scheduler, wake pipe included."""
+        spanner = ab_spanner()
+        parallel_corpus(spanner, small_corpus, jobs=2, timeout=TIMEOUT)  # warm-up
+        fds = sorted(os.listdir("/proc/self/fd"))
+        children = multiprocessing.active_children()
+        for _ in range(20):
+            parallel_corpus(spanner, small_corpus, jobs=2, timeout=TIMEOUT)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert multiprocessing.active_children() == children
 
     def test_failed_run_leaves_no_workers(self, small_corpus, tmp_path):
         token = f"{tmp_path / 'always-crash'}:99"

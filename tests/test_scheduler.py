@@ -422,6 +422,34 @@ class TestCrashIsolation:
                 assert info["scheduler"]["jobs_completed"] >= 1
 
 
+class TestCrashBudget:
+    def test_unhydratable_fleet_fails_the_job_and_stops_respawning(
+        self, service_socket, tmp_path
+    ):
+        """Workers that die before ``ready`` spend the fleet's crash
+        budget: with no job timeout set, the job still fails, carrying
+        the workers' traceback, and the fleet stops respawning."""
+        paths = write_docs(tmp_path, 1)  # one item: a one-shard plan
+        budget = 2 + (2 + 1) * 1  # jobs + (max_retries + 1) * shards
+        with running_daemon(
+            service_socket, tmp_path, jobs=2, kernel="bogus"
+        ) as svc:
+            with ServiceClient(svc.socket_path, timeout=TIMEOUT) as client:
+                started = time.monotonic()
+                with pytest.raises(ServiceError, match="unknown kernel 'bogus'"):
+                    client.run_grid(paths, [SPANNER], task="count")
+                assert time.monotonic() - started < 10.0
+                first = client.ping()
+                time.sleep(0.5)
+                second = client.ping()
+        assert 1 <= first["scheduler"]["workers_crashed"] <= budget
+        assert second["scheduler"]["workers_crashed"] == (
+            first["scheduler"]["workers_crashed"]
+        )
+        assert second["scheduler"]["jobs_failed"] == 1
+        assert second["fleet"]["alive"] == 0
+
+
 # -- the safety gate on the fault hooks ---------------------------------------
 
 
@@ -462,6 +490,21 @@ class TestIntrospection:
         assert sched["shards_dispatched"] >= 1
         assert sched["max_pending_jobs"] == 32
         assert sched["max_jobs_per_client"] == 8
+
+    def test_ping_after_a_job_returns_is_never_stale(
+        self, service_socket, tmp_path
+    ):
+        """The snapshot is refreshed before a job's waiter is released,
+        so a ping sent after ``run_grid`` returns sees the finished job."""
+        paths = write_docs(tmp_path, 2)
+        with running_daemon(service_socket, tmp_path, jobs=2) as svc:
+            with ServiceClient(svc.socket_path, timeout=TIMEOUT) as client:
+                for i in range(200):
+                    client.run_grid(paths, [SPANNER], task="count")
+                    sched = client.ping()["scheduler"]
+                    assert sched["jobs_completed"] == i + 1
+                    assert sched["active_jobs"] == 0
+                    assert sched["inflight_shards"] == 0
 
     def test_unused_fields_are_not_sent(
         self, service_socket, tmp_path, monkeypatch

@@ -43,8 +43,9 @@ class CheckConfig:
         "ShardPlan",
     )
     #: Worker entry points whose signatures the rule audits.
-    worker_entry_points: Tuple[str, ...] = ("worker_main", "service_worker_main")
-    #: Fleet hook methods whose return expressions the rule audits.
+    worker_entry_points: Tuple[str, ...] = ("worker_main",)
+    #: Methods building what crosses to a worker, whose return
+    #: expressions the rule audits.
     boundary_hooks: Tuple[str, ...] = ("_worker_args", "_shard_message")
     #: ``self.<attr>`` values a hook may ship (must be spec-typed fields).
     boundary_safe_self_attrs: Tuple[str, ...] = ("config",)

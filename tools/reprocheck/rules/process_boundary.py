@@ -10,7 +10,7 @@ handles are meaningless in the child.
 
 Two surfaces are audited:
 
-* the **worker entry points** (``worker_main``/``service_worker_main``):
+* the **worker entry point** (``worker_main``):
   every parameter must be a transport pipe (``worker_id``/``task_conn``/
   ``result_conn``) or carry an annotation built solely from whitelisted
   spec types, builtins and typing containers;
