@@ -1,11 +1,30 @@
-"""Enumerating ``⟦M⟧(D)`` with logarithmic delay (Theorem 8.10).
+"""Enumerating ``⟦M⟧(D)`` with delay ``O(|X| · depth(S))`` (Theorem 8.10).
 
-Pipeline (Sec. 8.2): after the Lemma 6.5 preprocessing
-(``O(|M| + size(S) · q^3)``), for every ``j ∈ F'`` and ``k ∈ Ī_S0[start,j]``
-run ``EnumAll`` to stream (M,S₀)-trees, and for each tree stream its yield
-(Lemma 8.5).  Every step touches at most one root-to-leaf path of the
-grammar, giving delay ``O(depth(S) · |X|)`` — ``O(|X| · log d)`` once the
-SLP is balanced.
+After the Lemma 6.5 preprocessing (``O(|M| + size(S) · q^3)``) one
+explicit-stack walk over its tables streams the relation.  Algorithm 1
+(EnumAll) streams the (M,S₀)-trees of every ``j ∈ F'`` and ``k ∈ Ī_S0``,
+and Lemma 8.5 streams each tree's yield; the walk fuses both, so every
+result is one tree together with one element of its yield and no tree
+object is ever built.  Its choices, taken in pre-order, are:
+
+* the accepting state ``j ∈ F'``, ascending;
+* at a triple ``A⟨i▹j⟩`` with ``R_A[i,j] = 1``, the intermediate state
+  ``k ∈ I_A[i,j]``, ascending (EnumAll's inner nodes ``A⟨i▹k▹j⟩``);
+* the left factor before the right;
+* at a leaf triple with ``R = 1``, the entry of ``M_Tx[i,j]`` in sorted
+  order (Lemma 8.5's terminal-leaves).
+
+A triple with ``R_A[i,j] = ℮`` is an empty-leaf: it contributes nothing
+and is not descended into.  Backtracking changes the most recent choice
+first, so the stream is the canonical order of
+:meth:`~repro.core.counting.RankedAccess.select` by construction.
+
+Every descent ends in a result (a triple in ``I_A`` has non-``⊥``
+children), so between two results the walk visits at most one (M,S)-tree,
+whose size Lemma 8.4 bounds by ``4|X| · depth(S)``; this is the delay of
+Lemma 8.9, ``O(|X| · log d)`` once the SLP is balanced.  The stack holds
+one frame per triple on the current path that has an untried alternative,
+so memory is ``O(|X| · depth(S))`` and deep grammars need no recursion.
 
 Duplicate-freeness requires a *deterministic* automaton (Lemma 8.8).  For
 NFAs the same procedure is still a correct enumeration but may repeat
@@ -15,105 +34,23 @@ results; pass ``deduplicate=True`` to suppress repeats with a hash set
 
 from __future__ import annotations
 
-import sys
-import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError
 from repro.slp.grammar import SLP
 from repro.spanner.automaton import SpannerNFA
-from repro.spanner.markers import Pairs, to_span_tuple
+from repro.spanner.markers import Pairs, shift, to_span_tuple
 from repro.spanner.spans import SpanTuple
 from repro.spanner.transform import END_SYMBOL, pad_slp, pad_spanner
 
-from repro.core.enumerate_trees import enum_root_trees
-from repro.core.matrices import Preprocessing
-from repro.core.mtrees import tree_yield
+from repro.core.matrices import EMP, Preprocessing
 
-
-#: Minimums of the currently-open enumeration streams, the limit that was
-#: in force before the first of them raised it, a deferred restore from a
-#: lowering CPython refused mid-recursion (``(leaked_limit, baseline)``),
-#: and a lock serialising the compound read-modify-write on the
-#: process-global recursion limit.  Needed so that closing one stream
-#: never lowers the limit under another still-open (or concurrently
-#: opening) stream, and so a refused restore is retried instead of the
-#: leaked limit being adopted as the new baseline.
-_active_minimums: list = []
-_baseline_limit = 0
-_deferred_restore = None
-_limit_lock = threading.Lock()
-
-
-@contextmanager
-def _recursion_limit(minimum: int):
-    """Temporarily raise the interpreter recursion limit to ``minimum``.
-
-    Reference-counted across concurrently open streams (thread-safe): the
-    limit drops back to the pre-raise baseline only when the *last* stream
-    exits (exhaustion, ``close()`` or an exception).  If someone else
-    changed the limit in the meantime, their value wins and we leave it
-    alone.  If CPython refuses the restore because the consumer is still
-    recursing deeper than the baseline, the lowering is deferred and
-    retried when the next stream opens.
-
-    The limit is process-global while stack depth is per-thread, so any
-    lowering (restore or deferred retry) can only be depth-checked against
-    the calling thread — a *different* thread that silently relied on the
-    temporarily raised limit without opening its own stream may observe
-    the drop.  Threads that need the raised limit must hold their own
-    stream open (the reference counting then keeps the limit up), which is
-    the same contract ``sys.setrecursionlimit`` itself imposes.
-    """
-    global _baseline_limit, _deferred_restore
-    with _limit_lock:
-        if not _active_minimums:
-            current = sys.getrecursionlimit()
-            if _deferred_restore is not None and current == _deferred_restore[0]:
-                # An earlier restore was refused mid-recursion; retry the
-                # lowering now (we are entering, so the stack is shallow)
-                # and keep aiming at the original baseline either way.
-                baseline = _deferred_restore[1]
-                try:
-                    sys.setrecursionlimit(baseline)
-                    current = baseline
-                except RecursionError:
-                    pass  # still too deep; keep deferring
-                _baseline_limit = baseline
-                _deferred_restore = (
-                    None if current == baseline else (current, baseline)
-                )
-            else:
-                _baseline_limit = current
-                _deferred_restore = None
-        _active_minimums.append(minimum)
-        in_force = max(_baseline_limit, max(_active_minimums))
-        if in_force > sys.getrecursionlimit():
-            sys.setrecursionlimit(in_force)
-    try:
-        yield
-    finally:
-        with _limit_lock:
-            expected = max(_baseline_limit, max(_active_minimums))
-            _active_minimums.remove(minimum)
-            if sys.getrecursionlimit() == expected:  # nobody changed it behind us
-                still_needed = max(_active_minimums, default=0)
-                target = max(_baseline_limit, still_needed)
-                if target != expected:
-                    try:
-                        sys.setrecursionlimit(target)
-                    except RecursionError:
-                        # The consumer exhausted/closed the stream while
-                        # itself recursing deeper than the target allows
-                        # (CPython refuses a limit below the current
-                        # depth).  Keep the raised limit rather than
-                        # crash a successful enumeration; remember the
-                        # ultimate baseline so the next stream to open
-                        # retries the lowering (a successful lowering by
-                        # a still-open stream's exit invalidates the
-                        # record via the leaked-value check on entry).
-                        _deferred_restore = (expected, _baseline_limit)
+#: A triple ``(name, i, j, offset)``: the nonterminal, its source and
+#: target states, and the document position its derivation starts after.
+Triple = Tuple[object, int, int, int]
+#: The triples still to expand, left first, as a linked list
+#: ``(triple, rest)``, so a frame saves the continuation in O(1).
+Pending = Optional[Tuple[Triple, "Pending"]]
 
 
 def enumerate_marker_sets(
@@ -130,18 +67,64 @@ def enumerate_marker_sets(
             "enumeration without duplicates needs a DFA (Lemma 8.8); "
             "determinize the automaton or pass deduplicate=True"
         )
-    # Nested generators recurse once per grammar level.
-    needed_limit = 5 * prep.slp.depth() + 200
-    seen = set() if deduplicate else None
-    with _recursion_limit(needed_limit):
-        for j in prep.final_states:
-            for tree in enum_root_trees(prep, j):
-                for pairs in tree_yield(tree, prep):
-                    if seen is not None:
-                        if pairs in seen:
-                            continue
-                        seen.add(pairs)
-                    yield pairs
+    slp = prep.slp
+    seen: Optional[Set[Pairs]] = set() if deduplicate else None
+    for final in prep.final_states:
+        pending: Pending = ((slp.start, prep.automaton.start, final, 0), None)
+        # prefixes[-1] is the marker set collected so far; the leaves are
+        # reached in document order, so it is a plain concatenation.
+        prefixes: List[Pairs] = [()]
+        # [alternatives, next index, triple, pending after it, len(prefixes)]
+        frames: List[list] = []
+        while True:
+            while pending is not None:
+                triple, pending = pending
+                name, i, j, _ = triple
+                if prep.r_value(name, i, j) == EMP:
+                    continue  # an empty-leaf: M_name[i,j] = {∅}
+                alternatives: Sequence[object]
+                if slp.is_leaf(name):
+                    alternatives = prep.leaf_entry(name, i, j)
+                else:
+                    alternatives = prep.intermediate_states(name, i, j)
+                if len(alternatives) > 1:
+                    frames.append([alternatives, 1, triple, pending, len(prefixes)])
+                pending = _choose(slp, triple, alternatives[0], pending, prefixes)
+            pairs = prefixes[-1]
+            if seen is None:
+                yield pairs
+            elif pairs not in seen:
+                seen.add(pairs)
+                yield pairs
+            if not frames:
+                break
+            frame = frames[-1]
+            alternatives, index, triple, pending, size = frame
+            if index + 1 < len(alternatives):
+                frame[1] = index + 1
+            else:
+                frames.pop()
+            del prefixes[size:]
+            pending = _choose(slp, triple, alternatives[index], pending, prefixes)
+
+
+def _choose(
+    slp: SLP, triple: Triple, choice: object, pending: Pending, prefixes: List[Pairs]
+) -> Pending:
+    """Take one alternative at ``triple``; return the triples left to expand.
+
+    A leaf's alternative is a marker set, appended to the prefix; an inner
+    nonterminal's is the intermediate state ``k``, which queues its two
+    factors, left first.
+    """
+    name, i, j, offset = triple
+    if slp.is_leaf(name):
+        if choice:
+            prefixes.append(prefixes[-1] + shift(choice, offset))
+        return pending
+    left, right = slp.children(name)
+    split = offset + slp.length(left)
+    return ((left, i, choice, offset), ((right, choice, j, split), pending))
 
 
 def enumerate_spanner(

@@ -37,7 +37,7 @@ Everything is bundled in a :class:`Preprocessing` object consumed by
 :mod:`repro.core.computation`, :mod:`repro.core.enumeration` and
 :mod:`repro.core.counting` through the accessor API (:meth:`r_value`,
 :meth:`notbot_row`, :meth:`intermediate_mask`, :meth:`intermediate_states`,
-:meth:`i_bar`, :meth:`leaf_entry`).
+:meth:`leaf_entry`).
 
 Total time ``O(|M| + size(S) · q^2)`` word operations (the paper states
 ``O(|M| + size(S) · q^3)``; bit-parallel AND saves a factor).
@@ -65,9 +65,6 @@ BOT = 0  # ⊥ : M_A[i,j] = ∅
 EMP = 1  # ℮ : M_A[i,j] = {∅}
 ONE = 2  # 1 : M_A[i,j] contains a nonempty partial marker set
 
-#: Sentinel intermediate state for base cases (the paper's ␣b␣).
-BASE = -1
-
 
 class Preprocessing:
     """Precomputed evaluation tables for one (automaton, SLP) pair.
@@ -77,7 +74,7 @@ class Preprocessing:
 
     Consumers should go through the accessors (:meth:`r_value`,
     :meth:`notbot_row`, :meth:`one_row`, :meth:`intermediate_mask`,
-    :meth:`intermediate_states`, :meth:`i_bar`, :meth:`leaf_entry`) rather
+    :meth:`intermediate_states`, :meth:`leaf_entry`) rather
     than the raw bit-planes.
     """
 
@@ -208,12 +205,6 @@ class Preprocessing:
     def intermediate_states(self, name: object, i: int, j: int) -> List[int]:
         """``I_A[i, j]`` as a list of states."""
         return bits_list(int(self.I[name][i * self.q + j]))
-
-    def i_bar(self, name: object, i: int, j: int) -> List[int]:
-        """The paper's ``Ī_A[i,j]``: ``[BASE]`` for base cases, else ``I_A[i,j]``."""
-        if self.slp.is_leaf(name) or self.r_value(name, i, j) == EMP:
-            return [BASE]
-        return self.intermediate_states(name, i, j)
 
     def leaf_entry(self, name: object, i: int, j: int) -> Tuple[Pairs, ...]:
         """``M_Tx[i, j]`` as a sorted tuple of partial marker sets."""

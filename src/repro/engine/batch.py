@@ -10,7 +10,6 @@ keep sharing caches; without one, a fresh engine lives for the single call
 from __future__ import annotations
 
 import itertools
-from contextlib import closing
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence
 
@@ -44,7 +43,9 @@ def run_task(
     workers (:mod:`repro.parallel`), so serial and sharded execution cannot
     diverge in task semantics.  An unknown ``task`` raises ``ValueError``
     — library callers get the same validation the CLI's argparse choices
-    provide.
+    provide.  ``enumerate`` returns the first ``limit`` tuples in the
+    canonical rank order; the rest of the stream holds no resources and
+    is simply dropped.
     """
     if task not in BATCH_TASKS:
         raise ValueError(f"unknown batch task {task!r}; expected one of {BATCH_TASKS}")
@@ -52,10 +53,7 @@ def run_task(
         return engine.evaluate(spanner, slp)
     if task == "enumerate":
         cap = limit if limit is None else max(limit, 0)
-        # closing() restores the enumeration's recursion limit promptly
-        # even if materialising a tuple raises.
-        with closing(engine.enumerate(spanner, slp)) as stream:
-            return list(itertools.islice(stream, cap))
+        return list(itertools.islice(engine.enumerate(spanner, slp), cap))
     if task == "count":
         return engine.count(spanner, slp)
     return engine.is_nonempty(spanner, slp)  # nonempty

@@ -127,12 +127,11 @@ class SessionConfig:
     #: socket I/O bound) and from the daemon's own ``job_timeout``
     #: safety net.  ``None`` means no deadline.
     deadline_ms: Optional[int] = None
-    #: Hung-shard watchdog (serve-time config): the execution allowance,
-    #: in seconds, granted to a mean-cost shard before the scheduler
-    #: kills the worker running it and retries the shard elsewhere.
-    #: Costlier shards get proportionally longer; each failed attempt
-    #: doubles the allowance.  ``None`` (the default) disables the
-    #: watchdog.
+    #: Hung-shard watchdog: the execution allowance, in seconds, granted
+    #: to a mean-cost shard before the scheduler kills the worker running
+    #: it and retries the shard elsewhere.  Costlier shards get
+    #: proportionally longer; each failed attempt doubles the allowance.
+    #: ``None`` (the default) disables the watchdog.
     shard_timeout: Optional[float] = None
     #: What a daemon-backed session does when the daemon cannot be
     #: reached (after the client's connect retries): ``"raise"`` (the
@@ -269,6 +268,7 @@ class _InProcessBackend:
                     kernel=self.config.kernel,
                     max_retries=self.config.max_retries,
                     timeout=self.config.timeout,
+                    shard_timeout=self.config.shard_timeout,
                 )
                 return [item.result for item in items]
             resolved = [_resolve(sp) for sp in spanners]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import EvaluationError
 from repro.slp.construct import balanced_slp
 from repro.slp.families import caterpillar_slp, power_slp
+from repro.slp.repair import repair_slp
 from repro.spanner.regex import compile_spanner
 from repro.spanner.spans import Span, SpanTuple
 from repro.spanner.transform import pad_slp, pad_spanner
@@ -21,6 +22,8 @@ from repro.core.counting import (
     ranked_access,
 )
 from repro.core.matrices import Preprocessing
+from repro.workloads.documents import server_log
+from repro.workloads.queries import pair_spanner
 
 from tests.conftest import WELLFORMED_PATTERNS, random_doc
 
@@ -125,6 +128,17 @@ class TestRankedAccess:
             assert list(ev.enumerate_raw()) == [
                 ra.select(r) for r in range(ra.total)
             ], (pattern, doc)
+        # Two variables over a RePair grammar, and an unbalanced depth-1600
+        # grammar.
+        log = CompressedSpannerEvaluator(pair_spanner(), repair_slp(server_log(40)))
+        deep = CompressedSpannerEvaluator(
+            compile_spanner(r".*(?P<x>ab).*", alphabet="ab"),
+            caterpillar_slp(1600),
+            balance=False,
+        )
+        for ev in (log, deep):
+            ra = ev.ranked()
+            assert list(ev.enumerate_raw()) == [ra.select(r) for r in range(ra.total)]
 
     def test_evaluator_integration(self):
         from repro.core.evaluator import CompressedSpannerEvaluator

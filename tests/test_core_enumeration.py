@@ -2,13 +2,16 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
 from repro.errors import EvaluationError
 from repro.slp.balance import balance
 from repro.slp.construct import balanced_slp
-from repro.slp.families import caterpillar_slp, power_slp
+from repro.slp.derive import text
+from repro.slp.families import caterpillar_slp, example_4_2, power_slp
+from repro.spanner.markers import cl, op, to_span_tuple
 from repro.spanner.regex import compile_spanner
 from repro.spanner.spans import Span, SpanTuple
 from repro.spanner.transform import pad_slp, pad_spanner
@@ -16,6 +19,7 @@ from repro.baselines.naive import naive_evaluate
 from repro.core.computation import compute
 from repro.core.enumeration import enumerate_marker_sets, enumerate_spanner
 from repro.core.matrices import Preprocessing
+from repro.workloads.queries import figure2_spanner
 
 from tests.conftest import WELLFORMED_PATTERNS, random_doc
 
@@ -72,13 +76,28 @@ class TestDuplicateFreedom:
 
 
 class TestRecursionLimit:
-    # Regression: enumeration used to raise sys.setrecursionlimit
-    # permanently; it must be restored once the stream ends.  A caterpillar
-    # of depth ~2000 needs a limit of 5·depth + 200 > the 10_000 baseline.
+    # The walk keeps its own stack, so enumeration never touches the
+    # process-wide recursion limit: however deep the grammar, the limit
+    # reads what the caller set while streaming, after close, and across
+    # interleaved streams and threads.
+
+    def test_deep_grammar_streams_under_the_callers_limit(self):
+        deep = caterpillar_slp(1600)
+        nfa = compile_spanner(r".*(?P<x>ab).*", alphabet="ab")
+        expected = compute(balanced_slp(text(deep)), nfa)
+        outer = sys.getrecursionlimit()
+        got = set()
+        try:
+            sys.setrecursionlimit(1000)
+            for tup in enumerate_spanner(deep, nfa):
+                assert sys.getrecursionlimit() == 1000
+                got.add(tup)
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(outer)
+        assert got == expected
 
     def test_limit_restored_after_exhaustion(self):
-        import sys
-
         outer = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(10_000)
@@ -90,25 +109,19 @@ class TestRecursionLimit:
             sys.setrecursionlimit(outer)
 
     def test_limit_restored_after_close(self):
-        import sys
-
         outer = sys.getrecursionlimit()
         try:
-            sys.setrecursionlimit(10_000)
+            sys.setrecursionlimit(1000)
             nfa = compile_spanner(r".*(?P<x>ab).*", alphabet="ab")
             stream = enumerate_spanner(caterpillar_slp(2000), nfa)
             next(stream)
-            assert sys.getrecursionlimit() > 10_000  # raised while streaming
+            assert sys.getrecursionlimit() == 1000  # untouched while streaming
             stream.close()
-            assert sys.getrecursionlimit() == 10_000
+            assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(outer)
 
     def test_closing_one_stream_keeps_limit_for_the_other(self):
-        # Regression: the raised limit is reference-counted — closing one
-        # stream must not drop it under a second still-open stream.
-        import sys
-
         outer = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(1500)
@@ -116,15 +129,56 @@ class TestRecursionLimit:
             deep = caterpillar_slp(2000)
             stream_a = enumerate_spanner(deep, nfa)
             stream_b = enumerate_spanner(deep, nfa)
-            next(stream_a)
-            next(stream_b)
+            first = next(stream_a)
+            assert next(stream_b) == first
             stream_a.close()
-            assert sys.getrecursionlimit() > 1500  # B still needs it
-            rest = list(stream_b)  # must not hit RecursionError
-            assert rest
-            assert sys.getrecursionlimit() == 1500  # last stream restores
+            rest = list(stream_b)  # a depth-2000 grammar under a 1500 limit
+            assert len(rest) == 1000
+            assert sys.getrecursionlimit() == 1500
         finally:
             sys.setrecursionlimit(outer)
+
+
+class TestWorkPerResult:
+    """Lemma 8.4 as a delay bound: between two consecutive results the walk
+    visits at most one (M,S)-tree's triples, at most 4·|X|·depth(S) + 2."""
+
+    @staticmethod
+    def visits_between_results(prep):
+        counter = [0]
+
+        class CountingPreprocessing(Preprocessing):
+            __slots__ = ()
+
+            def r_value(self, name, i, j):
+                counter[0] += 1
+                return Preprocessing.r_value(self, name, i, j)
+
+        prep.__class__ = CountingPreprocessing
+        gaps = []
+        for _ in enumerate_marker_sets(prep):
+            gaps.append(counter[0])
+            counter[0] = 0
+        return gaps
+
+    @pytest.mark.parametrize(
+        "pattern", [r".*(?P<x>ab).*", r".*(?P<x>a)b(?P<y>a).*", r"(?P<x>a*)(?P<y>.*)"]
+    )
+    def test_triples_per_result_within_lemma_8_4(self, pattern):
+        nfa = compile_spanner(pattern, alphabet="ab").determinize().trim()
+        deep = caterpillar_slp(300)
+        for slp in (balanced_slp(text(deep)), deep):
+            prep = Preprocessing(pad_slp(slp), pad_spanner(nfa))
+            bound = 4 * len(nfa.variables) * prep.slp.depth() + 2
+            gaps = self.visits_between_results(prep)
+            assert gaps
+            assert max(gaps) <= bound, (pattern, max(gaps), bound)
+
+    def test_empty_leaves_are_not_descended(self):
+        # Variable-free spanner: R = ℮ at the root, one triple per result.
+        nfa = compile_spanner(r"(a|b)*", alphabet="ab").determinize().trim()
+        prep = Preprocessing(pad_slp(power_slp("ab", 6)), pad_spanner(nfa))
+        assert self.visits_between_results(prep) == [1]
 
 
 class TestScale:
@@ -148,8 +202,6 @@ class TestScale:
         """Enumeration works on caterpillars (delay degrades, results don't)."""
         deep = caterpillar_slp(800)
         nfa = compile_spanner(r".*(?P<x>ab).*", alphabet="ab")
-        from repro.slp.derive import text
-
         expected = compute(balanced_slp(text(deep)), nfa)
         assert set(enumerate_spanner(deep, nfa)) == expected
 
@@ -162,9 +214,8 @@ class TestScale:
 
 class TestRecursionLimitThreads:
     def test_concurrent_streams_across_threads(self):
-        # The raised limit is shared process state; interleaved open/close
-        # from several threads must never drop it under a live stream.
-        import sys
+        # No process-global state: threads streaming deep grammars at once
+        # under a limit below their depth all finish, and leave it alone.
         import threading
 
         outer = sys.getrecursionlimit()
@@ -175,69 +226,69 @@ class TestRecursionLimitThreads:
                 nfa = compile_spanner(r".*(?P<x>ab).*", alphabet="ab")
                 for _ in range(3):
                     results = list(enumerate_spanner(caterpillar_slp(1200), nfa))
-                    assert results
+                    assert len(results) == 601
+                    assert sys.getrecursionlimit() == 1000
             except BaseException as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
 
         try:
-            sys.setrecursionlimit(2000)  # below the 5·depth+200 requirement
+            sys.setrecursionlimit(1000)
             threads = [threading.Thread(target=worker) for _ in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
             assert not errors, errors
-            assert sys.getrecursionlimit() == 2000
+            assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(outer)
 
 
 class TestRecursionLimitDeepConsumer:
     def test_exhaustion_under_deep_consumer_recursion(self):
-        # Regression: if the consumer exhausts the stream while itself
-        # recursing deeper than the baseline limit, CPython refuses the
-        # restore; enumeration must not crash (the limit stays raised).
-        import sys
-
+        # A consumer already deep in its own recursion can exhaust a stream
+        # over a deep grammar: the walk adds a constant number of frames.
         outer = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(1000)
             nfa = compile_spanner(r".*(?P<x>ab).*", alphabet="ab")
-            stream = enumerate_spanner(caterpillar_slp(500), nfa)
-            first = next(stream)  # limit raised past the consumer's depth
+            stream = enumerate_spanner(caterpillar_slp(2000), nfa)
+            first = next(stream)
 
             def consume(depth):
                 if depth:
                     return consume(depth - 1)
                 return list(stream)
 
-            rest = consume(1500)  # exhausts deeper than the 1000 baseline
-            assert [first] + rest
-            assert sys.getrecursionlimit() >= 1000  # raised or restored, no crash
-        finally:
-            sys.setrecursionlimit(outer)
-
-    def test_deferred_restore_retried_by_next_stream(self):
-        # Regression: a refused restore must not contaminate the baseline —
-        # the next enumeration retries the lowering back to the original.
-        import sys
-
-        outer = sys.getrecursionlimit()
-        try:
-            sys.setrecursionlimit(1000)
-            nfa = compile_spanner(r".*(?P<x>ab).*", alphabet="ab")
-            stream = enumerate_spanner(caterpillar_slp(500), nfa)
-            next(stream)
-
-            def consume(depth):
-                if depth:
-                    return consume(depth - 1)
-                return list(stream)
-
-            consume(1500)  # restore refused, limit left raised
-            assert sys.getrecursionlimit() > 1000
-            # A later shallow enumeration must bring the limit back down.
-            list(enumerate_spanner(balanced_slp("abab"), nfa))
+            rest = consume(800)
+            assert len([first] + rest) == 1001
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(outer)
+
+
+class TestExample82:
+    """Example 8.2 / Figure 4: the running SLP of Example 4.2
+    (D = aabccaabaa) under the Figure 2 DFA."""
+
+    @pytest.fixture(scope="class")
+    def prep(self):
+        return Preprocessing(pad_slp(example_4_2()), pad_spanner(figure2_spanner()))
+
+    def test_full_result(self, prep):
+        """Spans of the c-block starting at position 4, marked with x or y.
+
+        ([5,6⟩ is *not* in the relation: a span starting at 5 would need a
+        ``c`` inside the ``{a,b}*`` prefix of the Figure 2 automaton.)
+        """
+        result = {to_span_tuple(p) for p in enumerate_marker_sets(prep)}
+        expected = set()
+        for var in ("x", "y"):
+            for span in (Span(4, 5), Span(4, 6)):
+                expected.add(SpanTuple({var: span}))
+        assert result == expected
+
+    def test_figure4_tuple_is_produced(self, prep):
+        """The specific yield of Figure 4: {(⊿y,4), (◁y,6)} = t(y)=[4,6⟩."""
+        target = ((4, op("y")), (6, cl("y")))
+        assert target in set(enumerate_marker_sets(prep))

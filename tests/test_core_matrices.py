@@ -8,7 +8,7 @@ from repro.spanner.marked_words import m as make_marked
 from repro.spanner.markers import to_span_tuple
 from repro.spanner.regex import compile_spanner
 from repro.spanner.transform import pad_slp, pad_spanner
-from repro.core.matrices import BASE, BOT, EMP, ONE, Preprocessing, preprocess
+from repro.core.matrices import BOT, EMP, ONE, Preprocessing, preprocess
 
 
 def build_prep(pattern, alphabet, doc, deterministic=False):
@@ -134,24 +134,6 @@ class TestIMatrices:
                     assert (prep.r_value(name, i, j) == BOT) == (
                         not prep.intermediate_states(name, i, j)
                     )
-
-
-class TestIBar:
-    def test_base_for_leaves(self):
-        prep, _, slp = build_prep(r"a+", "a", "aa")
-        leaf = slp.leaf_for("a")
-        assert prep.i_bar(leaf, 0, 0) == [BASE]
-
-    def test_base_for_emp_entries(self):
-        prep, nfa, slp = build_prep(r"a+", "a", "aaaa")
-        # variable-free spanner: every non-BOT entry is EMP -> [BASE]
-        for name in slp.reachable():
-            if slp.is_leaf(name):
-                continue
-            for i in range(nfa.num_states):
-                for j in range(nfa.num_states):
-                    if prep.r_value(name, i, j) == EMP:
-                        assert prep.i_bar(name, i, j) == [BASE]
 
 
 class TestBitPlanes:

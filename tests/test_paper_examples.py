@@ -5,7 +5,7 @@
 * Example 4.1 (SLP of size 16 for a 25-symbol document)
 * Example 4.2 / Figure 3 (normal-form SLP for aabccaabaa)
 * Example 6.1 (partial marker sets and the ⊗ operator)
-* Example 8.2 / Figure 4 ((M,S)-trees and their yields)
+* Example 8.2 / Figure 4 (the relation, including the Figure 4 tuple)
 * Section 4.2 (a^(2^n) needs only n+1 rules; log d lower bound)
 """
 

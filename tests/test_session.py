@@ -10,17 +10,20 @@ compatibility exports.
 """
 
 import pickle
+import time
 
 import pytest
 
 import repro
 from repro.engine import Engine, EngineConfig, run_batch
 from repro.engine.spec import SpannerSpec
+from repro.faults import parse_plan, set_plan
 from repro.session import Session, SessionConfig, connect
 from repro.slp import io as slp_io
 from repro.slp.construct import balanced_slp
 from repro.spanner.regex import compile_spanner
 from repro.spanner.spans import Span, SpanTuple
+from repro.workloads import write_corpus
 
 
 def ab_spanner(pattern=r".*(?P<x>a+)b.*"):
@@ -212,6 +215,26 @@ class TestInProcessSession:
             assert session.corpus(spanner, docs) == serial
             # single-pair calls stay on the in-process engine regardless
             assert session.count(spanner, docs[0]) == len(serial[0])
+
+    def test_jobs_honours_shard_timeout(self, tmp_path):
+        """The in-process pool arms the hung-shard watchdog from the
+        session config: the first shard attempt hangs for 60 s, the
+        watchdog kills it after about 1 s and the retry succeeds."""
+        spanner = ab_spanner()
+        paths = write_corpus(
+            str(tmp_path / "corpus"), 6, duplication=2, doc_length=120, seed=7
+        )
+        serial = Engine().count_corpus(spanner, [slp_io.load_file(p) for p in paths])
+        counter = tmp_path / "hang-once"
+        set_plan(parse_plan(f"worker.shard:hang:nth=1,counter={counter},arg=60"))
+        started = time.monotonic()
+        try:
+            with Session(jobs=2, shard_timeout=1.0, timeout=120) as session:
+                counts = session.count_corpus(spanner, paths)
+        finally:
+            set_plan(None)
+        assert time.monotonic() - started < 30.0
+        assert counts == serial
 
     def test_unknown_task_rejected(self, docs):
         with connect() as session:
