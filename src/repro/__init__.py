@@ -18,9 +18,9 @@ Quickstart — open a :class:`~repro.session.Session` and ask it things::
             ...
         session.corpus(spanner, paths, task="count")  # batch shapes
 
-One :class:`~repro.session.SessionConfig` carries every knob the old
-surfaces re-threaded separately — preprocessing store, cache key mode,
-kernel backend, worker count, padding::
+One :class:`~repro.session.SessionConfig` carries every knob —
+preprocessing store, cache key mode, kernel backend, worker count,
+padding — to whichever backend serves the call::
 
     session = connect(store_dir=".prep", jobs=8, kernel="numpy")
 
@@ -31,11 +31,12 @@ processes::
 
     session = connect("/run/repro.sock")   # daemon backend, same results
 
-The lower layers stay public for direct use: the single-pair
-:class:`CompressedSpannerEvaluator`, the caching :class:`Engine`
-(``evaluate_many`` / ``evaluate_corpus`` and friends) and the sharded
-``parallel_corpus`` / ``parallel_many`` entry points — a ``Session``
-composes them, it does not replace them.
+Every route ends in one caching :class:`Engine` (``evaluate_many`` /
+``evaluate_corpus`` and friends), which stays public for direct use.
+The single-pair :class:`CompressedSpannerEvaluator` is a paper-named
+view over a private engine, and the sharded ``parallel_corpus`` /
+``parallel_many`` entry points run the same grid runner a
+``Session(jobs > 1)`` uses, with worker engines built from one config.
 """
 
 from repro.errors import (
@@ -79,9 +80,9 @@ from repro.core import (  # noqa: E402
 )
 from repro.baselines import UncompressedEvaluator  # noqa: E402
 
-# Compatibility surfaces: `Engine` and the `parallel_*` functions predate
-# the Session API and keep working unchanged — they are the low-level
-# core a Session routes through.  New code should start at `connect()`.
+# The low-level core every front end routes through: the `Engine`, and
+# the `parallel_*` wrappers over the grid runner a Session(jobs > 1)
+# uses.  New code should start at `connect()`.
 from repro.engine import Engine, evaluate_corpus, evaluate_many  # noqa: E402
 from repro.parallel import parallel_corpus, parallel_many  # noqa: E402
 from repro.session import Session, SessionConfig, connect  # noqa: E402

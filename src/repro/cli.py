@@ -16,20 +16,19 @@ Usage (also available as ``python -m repro``)::
 
 The query subcommand exposes all four evaluation tasks of the paper
 (``--task nonempty | count | enumerate | check``) plus ranked access
-(``--rank K``).  The batch subcommand runs every pattern against every
-grammar through the :class:`~repro.engine.Engine`, sharing padded
-documents, prepared automata and preprocessing tables across the grid;
-with ``--store DIR`` the preprocessing tables persist to disk so repeated
-invocations warm-start (``query`` takes the same flag), and ``--jobs N``
-shards the grid across N worker processes that share the store
-(:mod:`repro.parallel`).  ``serve`` runs the long-lived service daemon
-(:mod:`repro.service`): a persistent worker fleet behind a unix socket,
-so the preprocessing amortises across invocations — ``query``, ``batch``
-and ``stats`` route through it with ``--connect PATH`` and print exactly
-what the in-process paths print.  Every subcommand accepts grammars in
-either the JSON (``repro-slp``) or binary (``repro-slpb``) format — the
-loader sniffs the magic bytes — and ``convert`` translates between the
-two.
+(``--rank K``); the batch subcommand runs every pattern against every
+grammar.  Each of the two opens exactly one :class:`~repro.session.Session`
+and prints from it, so one print loop serves every route: the serial
+in-process engine (sharing padded documents, prepared automata and
+preprocessing tables across the grid), ``--jobs N`` (the grid sharded
+across N worker processes, :mod:`repro.parallel`) and ``--connect PATH``
+(the long-lived daemon that ``serve`` runs, :mod:`repro.service`, whose
+persistent worker fleet amortises the preprocessing across
+invocations).  With ``--store DIR`` the preprocessing tables persist to
+disk so repeated invocations warm-start.  Every subcommand accepts
+grammars in either the JSON (``repro-slp``) or binary (``repro-slpb``)
+format — the loader sniffs the magic bytes — and ``convert`` translates
+between the two.
 
 The ``--store/--structural-keys/--kernel`` group (and ``--jobs``,
 ``--connect`` where they apply) is declared once in shared argparse
@@ -583,44 +582,66 @@ def _extract_text(slp, tup: SpanTuple) -> dict:
     }
 
 
-def _query_connected(args) -> int:
-    """``query --connect``: ship the query to a running daemon.
+def _engine_options(args) -> dict:
+    """:class:`~repro.session.SessionConfig` fields of the engine options."""
+    return dict(
+        store_dir=args.store or None,
+        # An absent flag is auto: identity keys in one process, content
+        # digests whenever work crosses into workers or the daemon.
+        structural_keys=True if args.structural_keys else None,
+        kernel=None if args.kernel == "auto" else args.kernel,
+        trace=args.trace or None,
+    )
 
-    Prints exactly what the in-process path prints (the daemon is held
-    bit-identical to the serial engine by the differential harness).
-    ``--show-text`` still expands spans locally — the grammar file is
-    right here, and the daemon should not stream documents back.
-    """
-    from repro.engine.spec import SpannerSpec
-    from repro.session import connect as session_connect
 
-    if args.rank is not None:
+def _session(args):
+    """The one :class:`~repro.session.Session` a query or batch runs on:
+    in process (serial, or a worker pool with ``--jobs N``) or, with
+    ``--connect``, a client of the daemon."""
+    from repro.session import connect
+
+    return connect(
+        args.connect or None,
+        jobs=getattr(args, "jobs", 1),
+        priority=args.priority,
+        tag=args.tag,
+        deadline_ms=args.deadline_ms,
+        **_engine_options(args),
+    )
+
+
+def cmd_query(args) -> int:
+    if args.connect and args.rank is not None:
         print(
             "error: --rank needs an in-process session "
             "(drop --connect for ranked access)",
             file=sys.stderr,
         )
         return 1
-    alphabet = args.alphabet or "".join(
-        sorted(slp_io.peek_alphabet(args.grammar))
-    )
-    spec = SpannerSpec(pattern=args.pattern, alphabet=alphabet)
-    with session_connect(
-        args.connect,
-        priority=args.priority,
-        tag=args.tag,
-        deadline_ms=args.deadline_ms,
-        trace=args.trace or None,
-    ) as session:
-        if args.task == "nonempty":
-            print(
-                "nonempty"
-                if session.is_nonempty(spec, args.grammar)
-                else "empty"
+    with _session(args) as session:
+        if args.connect:
+            # The daemon decodes the grammar and compiles the pattern
+            # itself; the pattern travels as a recipe, the document as a
+            # path.  --show-text still expands spans from the local file.
+            from repro.engine.spec import SpannerSpec
+
+            alphabet = args.alphabet or "".join(
+                sorted(slp_io.peek_alphabet(args.grammar))
             )
+            spanner = SpannerSpec(pattern=args.pattern, alphabet=alphabet)
+            document = args.grammar
+            slp = slp_io.load_file(args.grammar) if args.show_text else None
+        else:
+            slp = document = slp_io.load_file(args.grammar)
+            alphabet = args.alphabet or "".join(sorted(slp.alphabet))
+            spanner = compile_spanner(args.pattern, alphabet=alphabet)
+
+        if args.task == "nonempty":
+            nonempty = session.is_nonempty(spanner, document)
+            print("nonempty" if nonempty else "empty")
             return 0
         if args.task == "count":
-            print(session.count(spec, args.grammar))
+            print(session.count(spanner, document))
             return 0
         if args.task == "check":
             if not args.span:
@@ -630,89 +651,34 @@ def _query_connected(args) -> int:
                 )
                 return 1
             tup = SpanTuple(dict(_parse_span(s) for s in args.span))
-            result = session.model_check(spec, args.grammar, tup)
+            result = session.model_check(spanner, document, tup)
             print(f"{tup}: {'IN' if result else 'NOT IN'} the relation")
             return 0 if result else 2
-        # enumerate.  The serial loop checks its limit *after* printing,
-        # so --limit <= 0 still shows one tuple; cap the same way here to
-        # keep the two routes print-identical for every input.
+
+        # enumerate / ranked access
+        if args.rank is not None:
+            tup = session.ranked(spanner, document).select_tuple(args.rank)
+            line = str(tup)
+            if args.show_text:
+                line += f"   {_extract_text(slp, tup)}"
+            print(f"#{args.rank}: {line}")
+            return 0
+        # --limit <= 0 still shows one tuple.
         cap = max(args.limit, 1)
-        slp = slp_io.load_file(args.grammar) if args.show_text else None
         shown = 0
-        for tup in session.enumerate(spec, args.grammar, limit=cap):
+        for tup in session.enumerate(spanner, document, limit=cap):
             line = str(tup)
             if args.show_text:
                 line += f"   {_extract_text(slp, tup)}"
             print(line)
             shown += 1
         if shown == cap:
-            remaining = session.count(spec, args.grammar) - shown
+            remaining = session.count(spanner, document) - shown
             if remaining > 0:
                 print(f"... ({remaining:,} more; raise --limit or use --rank)")
         if shown == 0:
             print("(no results)")
         return 0
-
-
-def cmd_query(args) -> int:
-    from repro.engine import Engine
-
-    if args.connect:
-        return _query_connected(args)
-    _configure_trace(args)
-    slp = slp_io.load_file(args.grammar)
-    alphabet = args.alphabet if args.alphabet else "".join(sorted(slp.alphabet))
-    spanner = compile_spanner(args.pattern, alphabet=alphabet)
-    # Routed through the engine (not the single-pair evaluator) so --store
-    # gives single queries the same persistent warm starts as batch: the
-    # differential harness holds the two facades result-identical.
-    store = None
-    if args.store:
-        from repro.store import PreprocessingStore
-
-        store = PreprocessingStore(args.store)
-    engine = Engine(
-        structural_keys=args.structural_keys, store=store, kernel=args.kernel
-    )
-
-    if args.task == "nonempty":
-        print("nonempty" if engine.is_nonempty(spanner, slp) else "empty")
-        return 0
-    if args.task == "count":
-        print(engine.count(spanner, slp))
-        return 0
-    if args.task == "check":
-        if not args.span:
-            print("error: --task check needs at least one --span", file=sys.stderr)
-            return 1
-        tup = SpanTuple(dict(_parse_span(s) for s in args.span))
-        result = engine.model_check(spanner, slp, tup)
-        print(f"{tup}: {'IN' if result else 'NOT IN'} the relation")
-        return 0 if result else 2
-
-    # enumerate / ranked access
-    if args.rank is not None:
-        tup = engine.ranked(spanner, slp).select_tuple(args.rank)
-        line = str(tup)
-        if args.show_text:
-            line += f"   {_extract_text(slp, tup)}"
-        print(f"#{args.rank}: {line}")
-        return 0
-    shown = 0
-    for tup in engine.enumerate(spanner, slp):
-        line = str(tup)
-        if args.show_text:
-            line += f"   {_extract_text(slp, tup)}"
-        print(line)
-        shown += 1
-        if shown >= args.limit:
-            remaining = engine.count(spanner, slp) - shown
-            if remaining > 0:
-                print(f"... ({remaining:,} more; raise --limit or use --rank)")
-            break
-    if shown == 0:
-        print("(no results)")
-    return 0
 
 
 def _print_batch_items(args, items) -> None:
@@ -734,115 +700,66 @@ def _print_batch_items(args, items) -> None:
 
 
 def cmd_batch(args) -> int:
-    from repro.engine import Engine, run_batch
-
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 1
-    if not args.connect:
-        _configure_trace(args)
-    if args.alphabet:
-        alphabet = args.alphabet
-    elif args.jobs > 1 or args.connect:
-        # Workers (or the daemon) decode the grammars themselves; the
-        # parent only needs the union alphabet, which .slpb headers
-        # yield without the (serial) full-corpus decode.
-        alphabet = "".join(
-            sorted(set().union(*(slp_io.peek_alphabet(p) for p in args.grammars)))
+    if args.connect and args.jobs != 1:
+        print(
+            "note: --jobs is ignored with --connect; the daemon's "
+            "fleet size applies",
+            file=sys.stderr,
         )
-    else:
-        slps = [slp_io.load_file(path) for path in args.grammars]
-        alphabet = "".join(sorted(set().union(*(slp.alphabet for slp in slps))))
-    limit = args.limit if args.task == "enumerate" else None
-    if args.connect:
-        # Routed through the running daemon: its persistent fleet (and
-        # its caches, warm from previous invocations) does the work; the
-        # output below is identical to the local paths.  Patterns travel
-        # as recipes — the daemon compiles (and caches) them server-side
-        # and returns the real compile error on a bad one, so paying for
-        # a local NFA construction here would be pure waste.
-        from repro.engine.spec import SpannerSpec
-        from repro.session import connect as session_connect
+    with _session(args) as session:
+        # One decode per grammar: the serial engine gets the grammars
+        # loaded here, while workers and the daemon decode their own from
+        # paths, so the union alphabet comes from .slpb headers instead.
+        if args.connect or args.jobs > 1:
+            documents = list(args.grammars)
+            alphabets = [] if args.alphabet else [
+                slp_io.peek_alphabet(path) for path in args.grammars
+            ]
+        else:
+            documents = [slp_io.load_file(path) for path in args.grammars]
+            alphabets = [slp.alphabet for slp in documents]
+        alphabet = args.alphabet or "".join(sorted(set().union(*alphabets)))
+        if args.connect:
+            # Patterns travel as recipes: the daemon compiles (and caches)
+            # them and returns the real compile error on a bad one.
+            from repro.engine.spec import SpannerSpec
 
-        if args.jobs != 1:
-            print(
-                "note: --jobs is ignored with --connect; the daemon's "
-                "fleet size applies",
-                file=sys.stderr,
-            )
-
-        specs = [
-            SpannerSpec(pattern=p, alphabet=alphabet) for p in args.patterns
-        ]
-        with session_connect(
-            args.connect,
-            priority=args.priority,
-            tag=args.tag,
-            deadline_ms=args.deadline_ms,
-            trace=args.trace or None,
-        ) as session:
-            items = session.batch(
-                specs, list(args.grammars), task=args.task, limit=limit
-            )
-            service_info = session.stats() if args.cache_stats else None
-        _print_batch_items(args, items)
-        if service_info is not None:
-            fleet = service_info["fleet"]
-            print(
-                f"# service {args.connect}: pid {service_info['pid']}, "
-                f"{service_info['jobs_run']} jobs over "
-                f"{service_info['requests']} requests, "
-                f"{fleet['alive']}/{fleet['jobs']} workers "
-                f"(uptime {service_info['uptime']:.1f}s)"
-            )
-        return 0
-    spanners = [compile_spanner(p, alphabet=alphabet) for p in args.patterns]
-    if args.jobs > 1:
-        # Sharded across processes: every worker hydrates its own
-        # content-addressed engine; --store makes the whole fleet (and
-        # later invocations) share one table store.
-        from repro.parallel import parallel_batch
-
-        items, parallel_report = parallel_batch(
-            spanners,
-            list(args.grammars),
-            task=args.task,
-            limit=limit,
-            jobs=args.jobs,
-            store=args.store or None,
-            kernel=args.kernel,
-            report=True,
-        )
-        cache_stats = parallel_report.cache_stats
-        store_stats = parallel_report.store_stats
-    else:
-        store = None
-        if args.store:
-            from repro.store import PreprocessingStore
-
-            store = PreprocessingStore(args.store)
-        engine = Engine(
-            structural_keys=args.structural_keys, store=store, kernel=args.kernel
-        )
-        if args.alphabet:
-            slps = [slp_io.load_file(path) for path in args.grammars]
-        items = run_batch(spanners, slps, task=args.task, limit=limit, engine=engine)
-        cache_stats = engine.cache_stats()
-        store_stats = None if store is None else store.stats
+            spanners = [
+                SpannerSpec(pattern=p, alphabet=alphabet) for p in args.patterns
+            ]
+        else:
+            spanners = [compile_spanner(p, alphabet=alphabet) for p in args.patterns]
+        limit = args.limit if args.task == "enumerate" else None
+        items = session.batch(spanners, documents, task=args.task, limit=limit)
+        stats = session.stats() if args.cache_stats else None
     _print_batch_items(args, items)
-    if args.cache_stats:
-        for name, stats in cache_stats.items():
-            print(
-                f"# cache {name} [{stats.key_mode}]: {stats.hits} hits, "
-                f"{stats.misses} misses, {stats.evictions} evictions "
-                f"(hit rate {stats.hit_rate:.0%})"
-            )
-        if store_stats is not None:
-            print(
-                f"# store {args.store}: {store_stats.hits} hits, "
-                f"{store_stats.misses} misses, {store_stats.rejects} rejects, "
-                f"{store_stats.writes} writes"
-            )
+    if stats is None:
+        return 0
+    if args.connect:
+        fleet = stats["fleet"]
+        print(
+            f"# service {args.connect}: pid {stats['pid']}, "
+            f"{stats['jobs_run']} jobs over {stats['requests']} requests, "
+            f"{fleet['alive']}/{fleet['jobs']} workers "
+            f"(uptime {stats['uptime']:.1f}s)"
+        )
+        return 0
+    for name, cache in stats["cache"].items():
+        print(
+            f"# cache {name} [{cache.key_mode}]: {cache.hits} hits, "
+            f"{cache.misses} misses, {cache.evictions} evictions "
+            f"(hit rate {cache.hit_rate:.0%})"
+        )
+    store = stats["store"]
+    if store is not None:
+        print(
+            f"# store {args.store}: {store.hits} hits, "
+            f"{store.misses} misses, {store.rejects} rejects, "
+            f"{store.writes} writes"
+        )
     return 0
 
 
@@ -854,16 +771,12 @@ def cmd_serve(args) -> int:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 1
     config = SessionConfig(
-        store_dir=args.store or None,
-        # None = auto: the fleet always shares through content digests.
-        structural_keys=True if args.structural_keys else None,
-        kernel=None if args.kernel == "auto" else args.kernel,
         jobs=args.jobs,
         timeout=args.timeout,
         max_pending_jobs=args.max_pending_jobs,
         max_jobs_per_client=args.max_jobs_per_client,
         shard_timeout=args.shard_timeout,
-        trace=args.trace or None,
+        **_engine_options(args),
     )
     return serve(
         config,

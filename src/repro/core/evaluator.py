@@ -13,30 +13,27 @@ computation        :meth:`evaluate`                            Thm 7.1
 enumeration        :meth:`enumerate` / :meth:`enumerate_raw`   Thm 8.10
 =================  ==========================================  ============
 
-Caching here is *per pair*: a new evaluator rebuilds everything.  When the
-same document is queried by many spanners, the same spanner runs over a
-corpus, or hot (spanner, document) pairs repeat, use
-:class:`repro.engine.Engine` — it shares the padded SLPs, prepared
-automata and preprocessing tables across queries through LRU caches.
+The evaluator is a paper-named view over a private
+:class:`repro.engine.Engine`: every method delegates on the stored pair,
+so the padded forms, the Lemma 6.5 preprocessing and the counting tables
+are built once per evaluator, through the same caching path every other
+front end uses.  When many spanners query one document, one spanner runs
+over a corpus, or hot pairs repeat, share one
+:class:`~repro.engine.Engine` (or a :class:`~repro.session.Session`)
+across them instead.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Optional
+from typing import FrozenSet, Iterator
 
 from repro.slp.grammar import SLP
 from repro.spanner.automaton import SpannerNFA
-from repro.spanner.markers import Pairs, to_span_tuple
+from repro.spanner.markers import Pairs
 from repro.spanner.spans import SpanTuple
 from repro.spanner.transform import END_SYMBOL
 
-from repro.core.computation import compute_marker_sets
-from repro.core.enumeration import enumerate_marker_sets
 from repro.core.matrices import Preprocessing
-from repro.core.membership import slp_in_language
-from repro.core.model_checking import splice_markers
-from repro.core.prepared import PreparedDocument, PreparedSpanner
-from repro.spanner.markers import from_span_tuple
 
 
 class CompressedSpannerEvaluator:
@@ -84,63 +81,46 @@ class CompressedSpannerEvaluator:
         end_symbol: str = END_SYMBOL,
         kernel=None,
     ) -> None:
-        from repro.core.kernels import resolve_kernel
+        from repro.engine.engine import Engine
 
         self.spanner = spanner
-        self._doc = PreparedDocument(slp, balance, end_symbol)
-        self._span = PreparedSpanner(spanner, end_symbol)
-        self.slp = self._doc.balanced
         self.end_symbol = end_symbol
-        self.kernel = resolve_kernel(kernel)
-        self._prep_nfa: Optional[Preprocessing] = None
-        self._prep_dfa: Optional[Preprocessing] = None
-        self._counting = None  # Optional[CountingTables], built on demand
-
-    # -- lazily-built shared structures (see repro.core.prepared) --------
+        self._source = slp
+        self._engine = Engine(balance=balance, end_symbol=end_symbol, kernel=kernel)
+        self.kernel = self._engine.kernel
+        # Balanced eagerly, as the evaluator always was: ``slp`` is part
+        # of its public surface.  The engine caches the prepared forms.
+        self.slp = self._engine._document(slp).balanced
 
     @property
     def padded_slp(self) -> SLP:
-        return self._doc.padded
+        return self._engine._document(self._source).padded
 
     @property
     def padded_nfa(self) -> SpannerNFA:
-        return self._span.padded_nfa
+        return self._engine._spanner(self.spanner).padded_nfa
 
     @property
     def padded_dfa(self) -> SpannerNFA:
-        return self._span.padded_dfa
+        return self._engine._spanner(self.spanner).padded_dfa
 
     def preprocessing(self, deterministic: bool = False) -> Preprocessing:
-        """The Lemma 6.5 tables (cached; one NFA and one DFA variant)."""
-        if deterministic:
-            if self._prep_dfa is None:
-                self._prep_dfa = Preprocessing(
-                    self.padded_slp, self.padded_dfa, kernel=self.kernel
-                )
-            return self._prep_dfa
-        if self._prep_nfa is None:
-            self._prep_nfa = Preprocessing(
-                self.padded_slp, self.padded_nfa, kernel=self.kernel
-            )
-        return self._prep_nfa
+        """The Lemma 6.5 tables over the padded NFA or DFA (built once)."""
+        return self._engine.preprocessing(self.spanner, self._source, deterministic)
 
     # -- the four tasks -------------------------------------------------
 
     def is_nonempty(self) -> bool:
         """``⟦M⟧(D) ≠ ∅`` in time ``O(|M| + size(S) · q^3)`` (Thm 5.1.1)."""
-        return slp_in_language(self.slp, self._span.sigma, kernel=self.kernel)
+        return self._engine.is_nonempty(self.spanner, self._source)
 
     def model_check(self, span_tuple: SpanTuple) -> bool:
         """``t ∈ ⟦M⟧(D)`` in time ``O((size(S)+|X| depth(S)) q^3)`` (Thm 5.1.2)."""
-        if not span_tuple.is_valid_for(self.slp.length()):
-            return False
-        spliced = splice_markers(self.padded_slp, from_span_tuple(span_tuple))
-        return slp_in_language(spliced, self.padded_nfa, kernel=self.kernel)
+        return self._engine.model_check(self.spanner, self._source, span_tuple)
 
     def evaluate(self) -> FrozenSet[SpanTuple]:
         """The full relation ``⟦M⟧(D)`` (Thm 7.1); works for NFAs directly."""
-        marker_sets = compute_marker_sets(self.preprocessing(deterministic=False))
-        return frozenset(to_span_tuple(pairs) for pairs in marker_sets)
+        return self._engine.evaluate(self.spanner, self._source)
 
     def enumerate(self) -> Iterator[SpanTuple]:
         """Stream ``⟦M⟧(D)`` with ``O(depth(S) · |X|)`` delay (Thm 8.10).
@@ -148,20 +128,11 @@ class CompressedSpannerEvaluator:
         Uses the determinised automaton so the stream is duplicate-free;
         determinisation affects only preprocessing, not the delay.
         """
-        for pairs in self.enumerate_raw():
-            yield to_span_tuple(pairs)
+        return self._engine.enumerate(self.spanner, self._source)
 
     def enumerate_raw(self) -> Iterator[Pairs]:
         """Like :meth:`enumerate` but yielding raw marker sets (no decoding)."""
-        return enumerate_marker_sets(self.preprocessing(deterministic=True))
-
-    def _counting_tables(self):
-        """The counting tables over the DFA preprocessing (built once)."""
-        from repro.core.counting import CountingTables
-
-        if self._counting is None:
-            self._counting = CountingTables(self.preprocessing(deterministic=True))
-        return self._counting
+        return self._engine.enumerate_raw(self.spanner, self._source)
 
     def count(self) -> int:
         """``|⟦M⟧(D)|`` exactly, *without* enumerating (counting extension).
@@ -171,7 +142,7 @@ class CompressedSpannerEvaluator:
         has ``10^12`` tuples.  (``sum(1 for _ in enumerate_raw())`` gives
         the same number the slow way.)
         """
-        return self._counting_tables().total()
+        return self._engine.count(self.spanner, self._source)
 
     def ranked(self):
         """Ranked access (k-th result / slices) into ``⟦M⟧(D)``.
@@ -180,10 +151,7 @@ class CompressedSpannerEvaluator:
         cached counting tables; see there for the canonical order
         guarantees.
         """
-        from repro.core.counting import RankedAccess
-
-        tables = self._counting_tables()
-        return RankedAccess(tables.prep, tables)
+        return self._engine.ranked(self.spanner, self._source)
 
     def __repr__(self) -> str:
         return (

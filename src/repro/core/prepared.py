@@ -1,15 +1,15 @@
 """Lazily-prepared per-document and per-spanner artifacts.
 
-Both :class:`~repro.core.evaluator.CompressedSpannerEvaluator` (one pair)
-and :class:`~repro.engine.Engine` (many pairs, cached) need the same
-preparation chain before any Lemma 6.5 preprocessing can run:
+:class:`~repro.engine.Engine` (and every front end over it, down to the
+single-pair :class:`~repro.core.evaluator.CompressedSpannerEvaluator`)
+runs this preparation chain before any Lemma 6.5 preprocessing:
 
 * document side — balance the SLP (Theorem 4.3), then ``#``-pad it;
 * spanner side — ε-eliminate, project to ``Σ`` (for non-emptiness),
   ``#``-pad, and determinize (for enumeration/counting).
 
-This module is the single home of that chain, so the two facades cannot
-drift apart; each step is computed at most once per object.
+This module is the single home of that chain; each step is computed at
+most once per object, and the engine caches the objects.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """The batch evaluation engine: one facade, shared work across queries.
 
-A :class:`CompressedSpannerEvaluator` rebuilds every shared artifact — the
-balanced/padded SLP, the ε-eliminated/determinized/padded automaton and the
-Lemma 6.5 :class:`~repro.core.matrices.Preprocessing` tables — per
-(spanner, document) pair.  :class:`Engine` caches each artifact in its own
-LRU, so that
+Every front end reaches the paper's tasks through an :class:`Engine`: the
+single-pair :class:`~repro.core.evaluator.CompressedSpannerEvaluator` is
+a view over a private one, a :class:`~repro.session.Session` holds one
+in process, and every parallel or daemon worker hydrates one.  It builds
+the shared artifacts — the balanced/padded SLP, the ε-eliminated/
+determinized/padded automaton and the Lemma 6.5
+:class:`~repro.core.matrices.Preprocessing` tables — at most once each,
+caching each in its own LRU, so that
 
 * ``evaluate_many(spanners, slp)`` pads and balances the document once and
   reuses it across all spanners,
@@ -21,8 +24,7 @@ layer to content-digest keys, so structurally equal grammars loaded twice
 ``Engine(store=PreprocessingStore(dir))`` a cache miss additionally
 consults the on-disk store before building, and writes freshly built
 tables back — warm starts survive process restarts.  All four paper tasks
-plus the counting/ranked-access extensions are exposed with the same
-semantics as the single-pair evaluator.
+plus the counting/ranked-access extensions are exposed.
 """
 
 from __future__ import annotations

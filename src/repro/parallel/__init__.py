@@ -22,9 +22,10 @@ three layers:
   recovery (a dead worker's shard is re-queued with capped retries and
   the worker replaced, within a fleet crash budget);
 * :mod:`repro.parallel.api` — :func:`parallel_corpus`,
-  :func:`parallel_many` and :func:`parallel_batch`, mirrored by
-  ``repro batch --jobs N`` in the CLI and held bit-identical to the
-  serial engine by the differential harness.
+  :func:`parallel_many` and :func:`parallel_batch`, thin wrappers over
+  the one grid runner that ``Session(jobs > 1)`` (and so
+  ``repro batch --jobs N``) also uses, held bit-identical to the serial
+  engine by the differential harness.
 
 Typical use::
 

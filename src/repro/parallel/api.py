@@ -11,7 +11,11 @@ differential harness holds them bit-identical — while executing on a
   files first);
 * :func:`parallel_many` — many spanners over one document;
 * :func:`parallel_batch` — the full (documents × spanners) grid,
-  row-major like ``run_batch``, which backs ``repro batch --jobs N``.
+  row-major like ``run_batch``.
+
+All three are thin wrappers over one grid runner, which an in-process
+``Session(jobs > 1)`` (and through it ``repro batch --jobs N``) calls
+directly with its own :class:`~repro.engine.spec.EngineConfig`.
 
 Give every call the same ``store`` directory and the fleet shares
 preprocessing builds through content addressing; with
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.engine.batch import batch_items_from_flat
 from repro.engine.spec import EngineConfig, SpannerSpec, TaskSpec
@@ -33,15 +38,10 @@ from repro.slp.grammar import SLP
 from repro.spanner.automaton import SpannerNFA
 
 from repro.parallel.pool import ParallelReport, WorkerPool
-from repro.parallel.sharding import (
-    WorkItem,
-    as_paths,
-    corpus_items,
-    grid_items,
-    plan_shards,
-)
+from repro.parallel.sharding import WorkItem, as_paths, grid_items, plan_shards
 
 Documents = Sequence[Union[str, SLP]]
+Spanners = Sequence[Union[SpannerNFA, SpannerSpec]]
 
 #: Shards per worker: >1 so the dynamic queue can actually rebalance when
 #: one shard runs long (with exactly one shard per worker there is
@@ -49,60 +49,84 @@ Documents = Sequence[Union[str, SLP]]
 SHARDS_PER_JOB = 4
 
 
-def _default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
+def _spanner_items(paths: List[str], n_spanners: int) -> List[WorkItem]:
+    """``parallel_many``'s items: one document, one item per spanner.
+
+    Left without cost/digest annotations: every item shares the one
+    document, so there is nothing to balance or deduplicate by it.
+    """
+    [path] = paths
+    return [WorkItem(index=k, path=path, spanner_id=k) for k in range(n_spanners)]
 
 
-def _execute(
-    items: List[WorkItem],
-    spanner_specs: List[SpannerSpec],
-    task: TaskSpec,
+def _run_grid(
+    spanners: Spanners,
+    documents: Documents,
+    task: str,
+    limit: Optional[int],
+    config: EngineConfig,
     *,
-    jobs: Optional[int],
-    store: Optional[str],
-    structural_keys: bool,
-    kernel: Optional[str],
-    prime: Union[bool, str],
-    max_retries: int,
-    timeout: Optional[float],
-    shard_timeout: Optional[float],
-    fault_tokens: Optional[Dict[int, str]],
+    jobs: Optional[int] = None,
+    prime: Union[bool, str] = True,
+    max_retries: int = 2,
+    timeout: Optional[float] = None,
+    shard_timeout: Optional[float] = None,
+    fault_tokens: Optional[Dict[int, str]] = None,
+    items_of: Callable[[List[str], int], List[WorkItem]] = grid_items,
 ) -> ParallelReport:
+    """Run ``task`` over ``items_of(paths, len(spanners))`` on one pool.
+
+    The one place that spills in-memory documents, plans LPT shards,
+    primes the store and calls :meth:`WorkerPool.run` (exactly once).
+    Every worker hydrates its engine from ``config``; a ``config``
+    without a trace sink inherits this process's (so engine-internal
+    worker spans trace even when the task carries no context).
+    """
     if prime not in (True, False, "duplicates", "all"):
         raise ValueError(
             f"prime must be True, False, 'duplicates' or 'all', got {prime!r}"
         )
-    jobs = _default_jobs() if jobs is None else jobs
-    # trace_path hands the workers this process's default sink, so
-    # engine-internal spans trace even when the task carries no context.
-    config = EngineConfig(
-        store_dir=store,
-        structural_keys=structural_keys,
-        kernel=kernel,
-        trace_path=get_tracer().path,
+    specs = [SpannerSpec.of(sp) for sp in spanners]
+    # The caller's active span (if any) rides inside the task, so worker
+    # shard spans in other processes parent to it and share its sink.
+    task_spec = TaskSpec(
+        task=task, limit=limit, trace=get_tracer().current_context()
     )
-    plan = plan_shards(items, num_shards=jobs * SHARDS_PER_JOB)
-    if fault_tokens:
-        plan = plan.with_fault_tokens(fault_tokens)
-    if store is not None and prime and task.task != "nonempty":
-        from repro.store.priming import prime_store
+    if config.trace_path is None:
+        config = replace(config, trace_path=get_tracer().path)
+    jobs = max(1, os.cpu_count() or 1) if jobs is None else jobs
+    with tempfile.TemporaryDirectory(prefix="repro-spill-") as spill_dir:
+        items = items_of(as_paths(documents, spill_dir), len(specs))
+        plan = plan_shards(items, num_shards=jobs * SHARDS_PER_JOB)
+        if fault_tokens:
+            plan = plan.with_fault_tokens(fault_tokens)
+        if config.store_dir is not None and prime and task != "nonempty":
+            from repro.store.priming import prime_store
 
-        prime_store(
-            store,
-            [(spec, [it.path for it in items if it.spanner_id == sid])
-             for sid, spec in enumerate(spanner_specs)],
-            task=task.task,
-            config=config,
-            only_duplicated=(prime == "duplicates" or prime is True),
+            prime_store(
+                config.store_dir,
+                [(spec, [it.path for it in items if it.spanner_id == sid])
+                 for sid, spec in enumerate(specs)],
+                task=task,
+                config=config,
+                only_duplicated=(prime == "duplicates" or prime is True),
+            )
+        pool = WorkerPool(
+            jobs,
+            config,
+            max_retries=max_retries,
+            timeout=timeout,
+            shard_timeout=shard_timeout,
         )
-    pool = WorkerPool(
-        jobs,
-        config,
-        max_retries=max_retries,
-        timeout=timeout,
-        shard_timeout=shard_timeout,
+        return pool.run(plan, specs, task_spec)
+
+
+def _config(
+    store: Optional[str], structural_keys: bool, kernel: Optional[str]
+) -> EngineConfig:
+    return EngineConfig(
+        store_dir=store, structural_keys=structural_keys, kernel=kernel
     )
-    return pool.run(plan, spanner_specs, task)
 
 
 def parallel_corpus(
@@ -151,34 +175,24 @@ def parallel_corpus(
     >>> [len(r) for r in parallel_corpus(spanner, docs, jobs=2)]
     [2, 0, 1]
     """
-    spec = SpannerSpec.of(spanner)
-    # The caller's active span (if any) rides inside the task, so worker
-    # shard spans in other processes parent to it and share its sink.
-    task_spec = TaskSpec(
-        task=task, limit=limit, trace=get_tracer().current_context()
+    result = _run_grid(
+        [spanner],
+        documents,
+        task,
+        limit,
+        _config(store, structural_keys, kernel),
+        jobs=jobs,
+        prime=prime,
+        max_retries=max_retries,
+        timeout=timeout,
+        shard_timeout=shard_timeout,
+        fault_tokens=_fault_tokens,
     )
-    with tempfile.TemporaryDirectory(prefix="repro-spill-") as spill_dir:
-        paths = as_paths(documents, spill_dir)
-        items = corpus_items(paths)
-        result = _execute(
-            items,
-            [spec],
-            task_spec,
-            jobs=jobs,
-            store=store,
-            structural_keys=structural_keys,
-            kernel=kernel,
-            prime=prime,
-            max_retries=max_retries,
-            timeout=timeout,
-            shard_timeout=shard_timeout,
-            fault_tokens=_fault_tokens,
-        )
     return result if report else result.results
 
 
 def parallel_many(
-    spanners: Sequence[Union[SpannerNFA, SpannerSpec]],
+    spanners: Spanners,
     document: Union[str, SLP],
     *,
     task: str = "evaluate",
@@ -200,35 +214,24 @@ def parallel_many(
     its balanced/padded forms across its shard through the engine's
     document cache.
     """
-    specs = [SpannerSpec.of(sp) for sp in spanners]
-    task_spec = TaskSpec(
-        task=task, limit=limit, trace=get_tracer().current_context()
+    result = _run_grid(
+        spanners,
+        [document],
+        task,
+        limit,
+        _config(store, structural_keys, kernel),
+        jobs=jobs,
+        prime=False,  # distinct automata: nothing to deduplicate
+        max_retries=max_retries,
+        timeout=timeout,
+        shard_timeout=shard_timeout,
+        items_of=_spanner_items,
     )
-    with tempfile.TemporaryDirectory(prefix="repro-spill-") as spill_dir:
-        [path] = as_paths([document], spill_dir)
-        items = [
-            WorkItem(index=k, path=path, spanner_id=k)
-            for k in range(len(specs))
-        ]
-        result = _execute(
-            items,
-            specs,
-            task_spec,
-            jobs=jobs,
-            store=store,
-            structural_keys=structural_keys,
-            kernel=kernel,
-            prime=False,  # distinct automata: nothing to deduplicate
-            max_retries=max_retries,
-            timeout=timeout,
-            shard_timeout=shard_timeout,
-            fault_tokens=None,
-        )
     return result if report else result.results
 
 
 def parallel_batch(
-    spanners: Sequence[Union[SpannerNFA, SpannerSpec]],
+    spanners: Spanners,
     documents: Documents,
     *,
     task: str = "count",
@@ -247,34 +250,24 @@ def parallel_batch(
 
     Returns :class:`~repro.engine.batch.BatchItem` rows in the same
     row-major order as :func:`repro.engine.batch.run_batch` — documents
-    outer, spanners inner — so ``repro batch --jobs N`` prints exactly
-    what ``--jobs 1`` prints.  With ``report=True`` the return value is
+    outer, spanners inner.  With ``report=True`` the return value is
     ``(items, ParallelReport)`` for fleet-level stats.
     """
-    specs = [SpannerSpec.of(sp) for sp in spanners]
-    task_spec = TaskSpec(
-        task=task, limit=limit, trace=get_tracer().current_context()
+    spanners = list(spanners)
+    result = _run_grid(
+        spanners,
+        documents,
+        task,
+        limit,
+        _config(store, structural_keys, kernel),
+        jobs=jobs,
+        prime=prime,
+        max_retries=max_retries,
+        timeout=timeout,
+        shard_timeout=shard_timeout,
     )
-    n_spanners = len(specs)
-    with tempfile.TemporaryDirectory(prefix="repro-spill-") as spill_dir:
-        paths = as_paths(documents, spill_dir)
-        items = grid_items(paths, n_spanners)
-        result = _execute(
-            items,
-            specs,
-            task_spec,
-            jobs=jobs,
-            store=store,
-            structural_keys=structural_keys,
-            kernel=kernel,
-            prime=prime,
-            max_retries=max_retries,
-            timeout=timeout,
-            shard_timeout=shard_timeout,
-            fault_tokens=None,
-        )
-    items_out = batch_items_from_flat(result.results, n_spanners, task)
-    return (items_out, result) if report else items_out
+    items = batch_items_from_flat(result.results, len(spanners), task)
+    return (items, result) if report else items
 
 
 __all__ = ["parallel_batch", "parallel_corpus", "parallel_many"]

@@ -1,18 +1,18 @@
 """The unified ``Session`` API: one facade over every execution backend.
 
-Before this module, the public API had sprawled across four surfaces
-that each re-threaded the same knobs — ``Engine(kernel=, store=,
-structural_keys=)``, ``parallel_corpus/many/batch(jobs=, ...)``,
-``CompressedSpannerEvaluator(kernel=)`` and the CLI flags.  A
-:class:`Session` subsumes them: it is configured once by a
-:class:`SessionConfig` and routes every call to one of two pluggable
-backends with identical result semantics (the differential harness
-holds them bit-identical):
+A :class:`Session` is configured once by a :class:`SessionConfig` and
+is the one route from every front end (library callers, the CLI) to the
+engine.  It sends each call to one of two pluggable backends with
+identical result semantics (the differential harness holds them
+bit-identical):
 
 * the **in-process backend** (the default): a private
-  :class:`~repro.engine.engine.Engine` serves single-pair calls, and —
-  when ``jobs > 1`` — the :mod:`repro.parallel` pool serves corpus /
-  many / batch calls, exactly as before;
+  :class:`~repro.engine.engine.Engine` serves single-pair calls and, at
+  ``jobs == 1``, batch calls too; at ``jobs > 1`` corpus / many / batch
+  calls run on a per-call :mod:`repro.parallel` worker pool whose
+  workers hydrate from this session's own
+  :meth:`SessionConfig.engine_config`, and :meth:`Session.stats` folds
+  the fleet's cache and store counters in with the engine's;
 * the **daemon backend** (``connect("path.sock")`` /
   ``SessionConfig(socket_path=...)``): every batch call is shipped as a
   length-prefixed JSON request over a unix socket to a long-lived
@@ -22,8 +22,8 @@ holds them bit-identical):
   daemon's lifetime, not one CLI invocation.
 
 :class:`~repro.engine.engine.Engine` and the ``parallel_*`` functions
-remain available as the low-level core (and ``from repro import
-Engine`` keeps working unchanged); new code should start here.
+stay public as the low-level core (``from repro import Engine`` keeps
+working); new code should start here.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ from typing import (
 )
 
 from repro.engine.batch import BATCH_TASKS, BatchItem, batch_items_from_flat, run_task
-from repro.engine.spec import EngineConfig, SpannerSpec, TaskSpec
+from repro.engine.spec import EngineConfig, SpannerSpec
+from repro.parallel.api import _run_grid
+from repro.parallel.scheduler import aggregate_cache_stats, aggregate_store_stats
 from repro.slp import io as slp_io
 from repro.slp.grammar import SLP
 from repro.spanner.automaton import SpannerNFA
@@ -55,6 +57,8 @@ from repro.spanner.transform import END_SYMBOL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.counting import RankedAccess
+    from repro.engine.cache import CacheStats
+    from repro.store.prepstore import StoreStats
 
 #: Anything a session accepts as a document: an in-memory grammar or a
 #: path to a ``.slp.json`` / ``.slpb`` file.
@@ -178,10 +182,6 @@ class SessionConfig:
         }
 
 
-def _as_spec(spanner: Spanner) -> SpannerSpec:
-    return SpannerSpec.of(spanner)
-
-
 def _resolve(spanner: Spanner) -> SpannerNFA:
     if isinstance(spanner, SpannerNFA):
         return spanner
@@ -189,13 +189,16 @@ def _resolve(spanner: Spanner) -> SpannerNFA:
 
 
 class _InProcessBackend:
-    """Today's engine + parallel paths, unchanged semantics."""
+    """A private engine, plus a per-call worker pool when ``jobs > 1``."""
 
     name = "in-process"
 
     def __init__(self, config: SessionConfig) -> None:
         self.config = config
         self.engine = config.engine_config(cross_process=False).build()
+        # Counters of the per-call pools (jobs > 1), folded call by call.
+        self._fleet_cache: Dict[str, "CacheStats"] = {}
+        self._fleet_store: "Optional[StoreStats]" = None
 
     def load(self, document: Document) -> SLP:
         if isinstance(document, SLP):
@@ -245,7 +248,7 @@ class _InProcessBackend:
         """Row-major (documents outer) results for the full grid."""
         from repro.obs.trace import get_tracer
 
-        # Root span of the whole call; with jobs > 1 the parallel API
+        # Root span of the whole call; with jobs > 1 the grid runner
         # captures it as the current context, so worker shard spans in
         # other processes parent here (no-op when tracing is off).
         with get_tracer().span(
@@ -255,22 +258,7 @@ class _InProcessBackend:
             spanners=len(spanners),
         ):
             if self.config.jobs > 1:
-                from repro.parallel import parallel_batch
-
-                items = parallel_batch(
-                    [_as_spec(sp) for sp in spanners],
-                    list(documents),
-                    task=task,
-                    limit=limit,
-                    jobs=self.config.jobs,
-                    store=self.config.store_dir,
-                    structural_keys=self.config.resolved_structural_keys(True),
-                    kernel=self.config.kernel,
-                    max_retries=self.config.max_retries,
-                    timeout=self.config.timeout,
-                    shard_timeout=self.config.shard_timeout,
-                )
-                return [item.result for item in items]
+                return self._fleet_grid(spanners, documents, task, limit)
             resolved = [_resolve(sp) for sp in spanners]
             results: List[object] = []
             for document in documents:
@@ -281,11 +269,43 @@ class _InProcessBackend:
                     )
             return results
 
+    def _fleet_grid(
+        self,
+        spanners: Sequence[Spanner],
+        documents: Sequence[Document],
+        task: str,
+        limit: Optional[int],
+    ) -> List[object]:
+        """The grid on a per-call worker pool built from this config."""
+        report = _run_grid(
+            spanners,
+            documents,
+            task,
+            limit,
+            self.config.engine_config(cross_process=True),
+            jobs=self.config.jobs,
+            max_retries=self.config.max_retries,
+            timeout=self.config.timeout,
+            shard_timeout=self.config.shard_timeout,
+        )
+        self._fleet_cache = aggregate_cache_stats(
+            [self._fleet_cache, report.cache_stats]
+        )
+        self._fleet_store = aggregate_store_stats(
+            [self._fleet_store, report.store_stats]
+        )
+        return report.results
+
     def stats(self) -> Dict[str, object]:
+        """The engine's cache/store counters, folded with every pool's."""
         return {
             "backend": self.name,
-            "cache": self.engine.cache_stats(),
-            "store": self.engine.store_stats(),
+            "cache": aggregate_cache_stats(
+                [self.engine.cache_stats(), self._fleet_cache]
+            ),
+            "store": aggregate_store_stats(
+                [self.engine.store_stats(), self._fleet_store]
+            ),
         }
 
     def close(self) -> None:

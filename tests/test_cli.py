@@ -266,10 +266,21 @@ class TestBatch:
             l for l in second.splitlines() if l.startswith("# store")
         ][0]
 
-    def test_jobs_matches_serial_output(self, grammar, second_grammar, capsys):
+    @pytest.mark.parametrize(
+        "task_args",
+        [
+            ["--task", "count"],
+            ["--task", "enumerate", "--limit", "1"],
+            ["--task", "nonempty"],
+        ],
+        ids=["count", "enumerate", "nonempty"],
+    )
+    def test_jobs_matches_serial_output(
+        self, grammar, second_grammar, capsys, task_args
+    ):
         argv_tail = [
             str(grammar), str(second_grammar),
-            "-p", r".*(?P<x>ab).*", "-p", r"(?P<y>c+)", "--task", "count",
+            "-p", r".*(?P<x>ab).*", "-p", r"(?P<y>c+)", *task_args,
         ]
         assert main(["batch"] + argv_tail) == 0
         serial_out = capsys.readouterr().out

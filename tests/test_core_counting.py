@@ -173,7 +173,8 @@ def test_evaluator_count_and_ranked_share_tables():
 
     nfa = compile_spanner(r"(a|b)*(?P<x>ab)(a|b)*", alphabet="ab")
     ev = CompressedSpannerEvaluator(nfa, power_slp("ab", 6))
-    assert ev.count() == 64
     ra = ev.ranked()
-    assert ra.tables is ev._counting  # one build, shared
+    assert ra.tables is ev.ranked().tables  # one build, shared
+    assert ev.count() == 64
+    assert ev.ranked().tables is ra.tables  # count() built no second table
     assert ra.total == 64

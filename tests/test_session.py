@@ -236,6 +236,36 @@ class TestInProcessSession:
         assert time.monotonic() - started < 30.0
         assert counts == serial
 
+    def test_jobs_ships_the_whole_engine_config(self):
+        """The pool's workers hydrate from the session's own engine
+        config, not a partial copy: a custom end symbol reaches them (the
+        default one occurs in this document), and so do the capacities."""
+        spanner = compile_spanner(r".*(?P<x>ab).*", alphabet="ab\x03")
+        docs = [balanced_slp("ab\x03ab"), balanced_slp("\x03aab")]
+        with connect(jobs=1, end_symbol="$") as serial:
+            expected = serial.corpus(spanner, docs, task="count")
+        assert expected == [2, 1]
+        with connect(
+            jobs=2, end_symbol="$", max_preprocessings=11, timeout=120
+        ) as session:
+            assert session.corpus(spanner, docs, task="count") == expected
+            maxsize = session.stats()["cache"]["preprocessings"].maxsize
+        assert maxsize > 0 and maxsize % 11 == 0
+
+    def test_jobs_stats_report_the_fleet(self, docs, tmp_path):
+        """With jobs > 1 the grid runs on worker engines; stats() folds
+        their counters in instead of reporting the idle private engine."""
+        spanner = ab_spanner()
+        with connect(jobs=2, timeout=120) as session:
+            session.count_corpus(spanner, docs)
+            prep = session.stats()["cache"]["preprocessings"]
+        assert prep.misses >= 1
+        assert prep.key_mode == "structural"
+        with connect(jobs=2, store_dir=str(tmp_path), timeout=120) as session:
+            session.count_corpus(spanner, docs)
+            store = session.stats()["store"]
+        assert store is not None and store.misses + store.hits >= 1
+
     def test_unknown_task_rejected(self, docs):
         with connect() as session:
             with pytest.raises(ValueError, match="unknown batch task"):
