@@ -6,6 +6,12 @@ when numpy is absent — the import-path gate runs everywhere):
 * cold Lemma 6.5 preprocessing with the ``numpy`` kernel must be >= 3x
   faster than the ``python`` kernel at ``q >= 48`` on a large grammar
   (and produce bit-identical planes);
+* on a small automaton (``q ≈ 12``, the shape of the ``abba`` count
+  query once determinised and padded) over a balanced RePair
+  ``block_text`` document, the numpy kernel's ``build_planes`` +
+  ``build_counts`` must be no slower than the python kernel's — the
+  level-batched build must not lose to the bigint loop where per-call
+  numpy overhead is largest;
 * a store-backed restore (load + hydrating every I-vector, i.e. what a
   full enumeration descent needs) must be >= 1.5x faster under the numpy
   kernel's zero-copy ``np.frombuffer`` decode than under the reference
@@ -35,10 +41,14 @@ from repro.bench.harness import time_call
 from repro.core.boolmat import bits_list, iter_bits
 from repro.core.kernels import numpy_available, resolve_kernel
 from repro.core.matrices import Preprocessing
+from repro.core.prepared import PreparedDocument, PreparedSpanner
 from repro.slp.families import power_slp
+from repro.slp.repair import repair_slp
 from repro.spanner.automaton import NFABuilder
+from repro.spanner.regex import compile_spanner
 from repro.spanner.transform import pad_slp
 from repro.store import PreprocessingStore
+from repro.workloads.documents import block_text
 
 #: The gate's automaton size: the ISSUE demands the 3x win at q >= 48.
 GATE_Q = 56
@@ -90,6 +100,34 @@ def test_numpy_cold_preprocessing_at_least_3x_at_q48(gate_pair):
     assert numpy_prep.export_planes() == python_prep.export_planes()
     assert t_python >= 3.0 * t_numpy, (
         f"numpy kernel only {t_python / t_numpy:.2f}x faster "
+        f"(python {t_python * 1e3:.1f} ms, numpy {t_numpy * 1e3:.1f} ms)"
+    )
+
+
+@needs_numpy
+def test_numpy_build_no_slower_than_python_at_small_q():
+    """Small-q gate: level batching keeps numpy ahead where calls are tiny."""
+    document = PreparedDocument(repair_slp(block_text(20_000, 64, 32, "ab", seed=1)))
+    spanner = PreparedSpanner(
+        compile_spanner(r"(a|b)*(?P<x>abba)(a|b)*", alphabet="ab")
+    )
+    prep = Preprocessing(document.padded, spanner.padded_dfa, kernel="python")
+    assert 8 <= prep.q <= 16 and len(prep.order) > 1000
+
+    def build(kernel_name):
+        kernel = resolve_kernel(kernel_name)
+        planes = kernel.build_planes(prep.slp, prep.order, prep.q, prep.leaf_tables)
+        return planes, kernel.build_counts(prep)
+
+    (numpy_planes, numpy_counts), t_numpy = time_call(build, "numpy", repeat=5)
+    (python_planes, python_counts), t_python = time_call(build, "python", repeat=5)
+    for numpy_plane, python_plane in zip(numpy_planes, python_planes):
+        assert {n: [int(v) for v in rows] for n, rows in numpy_plane.items()} == {
+            n: list(rows) for n, rows in python_plane.items()
+        }
+    assert numpy_counts == python_counts
+    assert t_numpy <= t_python, (
+        f"numpy build slower than python at q={prep.q} "
         f"(python {t_python * 1e3:.1f} ms, numpy {t_numpy * 1e3:.1f} ms)"
     )
 

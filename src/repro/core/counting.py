@@ -41,18 +41,18 @@ Key = Tuple[object, int, int]
 class CountingTables:
     """Per-(nonterminal, i, j) result counts ``|M_A[i,j]|`` (DFA only).
 
-    Storage is one flat ``i*q+j`` count vector per nonterminal (indexable
-    in two array reads, no tuple hashing on the :meth:`count` hot path —
-    ranked access issues one lookup per descent step).  The build is
-    delegated to the preprocessing's kernel backend
-    (:meth:`~repro.core.kernels.base.Kernel.build_counts`); the arithmetic
-    is exact Python bigints in every backend, since counts may be
-    astronomically large.  :attr:`counts` offers the historical
-    ``{(name, i, j): count}`` dict as a derived view for export and
-    persistence.
+    Storage is :attr:`rows`: one flat ``i*q+j`` vector of Python ints per
+    nonterminal (indexable in two array reads, no tuple hashing on the
+    :meth:`count` hot path — ranked access issues one lookup per descent
+    step).  The build is delegated to the preprocessing's kernel backend
+    (:meth:`~repro.core.kernels.base.Kernel.build_counts`); every backend
+    returns exact Python ints, since counts may be astronomically large.
+    The rows are also what the preprocessing store persists and restores
+    (:meth:`from_rows`); :attr:`counts` offers the ``{(name, i, j): count}``
+    dict as a derived export view.
     """
 
-    __slots__ = ("prep", "_flat")
+    __slots__ = ("prep", "rows")
 
     def __init__(self, prep: Preprocessing) -> None:
         if not prep.automaton.is_deterministic:
@@ -61,22 +61,22 @@ class CountingTables:
             )
         self.prep = prep
         #: nonterminal -> flat row-major q·q vector of |M_A[i,j]|
-        self._flat: Dict[object, List[int]] = prep.kernel.build_counts(prep)
+        self.rows: Dict[object, List[int]] = prep.kernel.build_counts(prep)
 
     @property
     def counts(self) -> Dict[Key, int]:
         """``{(name, i, j): |M_A[i,j]|}`` over the notbot-set cells.
 
-        A derived view (rebuilt per access) kept for export and the
-        store's persistence hook; hot-path consumers use :meth:`count`.
-        The key set is exactly the cells whose ``notbot`` bit is set —
-        the same canonical set the store serialises positionally.
+        A derived view (rebuilt per access) for export and cross-kernel
+        comparison; consumers use :meth:`count` or :attr:`rows`.  The key
+        set is exactly the cells whose ``notbot`` bit is set — the cells
+        with a nonzero count.
         """
         prep = self.prep
         q = prep.q
         out: Dict[Key, int] = {}
         for name in prep.order:
-            row = self._flat.get(name)
+            row = self.rows.get(name)
             if row is None:
                 continue
             for i in range(q):
@@ -86,12 +86,12 @@ class CountingTables:
         return out
 
     @classmethod
-    def from_counts(
-        cls, prep: Preprocessing, counts: Dict[Key, int]
+    def from_rows(
+        cls, prep: Preprocessing, rows: Dict[object, List[int]]
     ) -> "CountingTables":
-        """Rebuild tables from a persisted ``counts`` mapping (no recompute).
+        """Adopt persisted per-name flat rows (no recompute).
 
-        The restore hook of the preprocessing store: ``counts`` must have
+        The restore hook of the preprocessing store: ``rows`` must have
         been built for a structurally identical preprocessing with matching
         nonterminal names.  The DFA requirement is still enforced.
         """
@@ -101,18 +101,11 @@ class CountingTables:
             )
         obj = cls.__new__(cls)
         obj.prep = prep
-        q = prep.q
-        flat: Dict[object, List[int]] = {}
-        for (name, i, j), value in counts.items():
-            row = flat.get(name)
-            if row is None:
-                row = flat[name] = [0] * (q * q)
-            row[i * q + j] = value
-        obj._flat = flat
+        obj.rows = rows
         return obj
 
     def count(self, name: object, i: int, j: int) -> int:
-        row = self._flat.get(name)
+        row = self.rows.get(name)
         return row[i * self.prep.q + j] if row is not None else 0
 
     def total(self) -> int:

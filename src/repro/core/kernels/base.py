@@ -78,8 +78,8 @@ def leaf_plane_rows(
 ) -> Tuple[List[int], List[int]]:
     """The (notbot, one) row bitmasks of one leaf nonterminal, as ints.
 
-    Shared by every kernel: leaf planes are ``O(q)`` work off the (small)
-    leaf tables, so there is nothing to vectorise.
+    Bit ``j`` of row ``i`` is set iff ``M_Tx[i, j]`` is nonempty (notbot),
+    resp. holds a nonempty marker set (one).
     """
     nb_rows = [0] * q
     one_rows = [0] * q
@@ -108,7 +108,13 @@ class Kernel:
         raise NotImplementedError
 
     def build_counts(self, prep: "Preprocessing") -> Dict[object, List[int]]:
-        """Per-name flat ``i*q+j`` vectors of ``|M_A[i,j]|`` (exact bigints)."""
+        """Per-name flat ``i*q+j`` vectors of ``|M_A[i,j]|``.
+
+        Every value is an exact Python ``int`` whatever the backend's
+        internal arithmetic (the numpy kernel multiplies whole height
+        levels in ``uint64`` and falls back to Python ints before a level
+        could wrap); these rows are what the preprocessing store persists.
+        """
         raise NotImplementedError
 
     def decode_words(

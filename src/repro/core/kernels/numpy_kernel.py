@@ -16,19 +16,42 @@ scalars the accessors normalise with ``int()``); wider automata are
 materialised back to Python bigint rows after the vectorised build, so
 every consumer sees the same logical values either way.
 
-**The Lemma 6.5 parent rule**, vectorised: for ``A -> B C`` the whole
-``I_A`` block is one broadcast AND —
-``I3[i, j, w] = notbot_B[i, w] & columns(notbot_C)[j, w]`` over the
-``(q, q, row_words)`` cube — followed by ``any``-reductions for the
-``notbot``/``one`` row planes, instead of the per-``(i, j)`` Python loop.
-Transposed column planes are built with ``np.unpackbits`` /
-``np.packbits`` (``bitorder="little"``) and cached per right child,
-mirroring the reference kernel.
+**Level batching.**  Lemma 6.5 is a bottom-up recurrence and rules of
+equal height never read each other, so both builds run one *height
+level* per numpy call sequence instead of one rule.  Every rule's four
+planes — notbot rows, one rows, and their transposes, the *columns* a
+parent reads when the rule is its right child — live in one
+``(n, 4, q, row_words)`` array.  A level gathers its children's planes
+with fancy indexing into ``(R, 4, q, row_words)`` stacks and computes the
+whole ``(R, q, q, row_words)`` intermediate-state cube in one broadcast
+AND, ``I[r, i, j] = notbot_B[i] & columns(notbot_C)[j]``, followed by
+``any``-reductions for the notbot/one rows; the rows and their
+transposes are packed (``np.packbits``, ``bitorder="little"``) in one
+call, so no plane is ever unpacked again.  Levels wider than
+:data:`CHUNK_WORDS` words of cube are cut into slices.
+
+**Counts.**  ``count_B[i, k] != 0`` iff ``R_B[i, k] != ⊥``, so the
+``I_A``-masked sum of Lemmas 6.9/8.7 is the plain matrix product
+``C_A = C_B · C_C``: one batched ``np.matmul`` per level over
+``(R, q, q)`` ``uint64`` stacks.  A float64 estimate of each level guards
+the product; from the first level whose estimate reaches
+:data:`UINT64_SAFE` on, the stacks switch to ``dtype=object`` and the
+product runs on exact Python ints.  The result comes back as flat rows of
+Python ints (one ``tolist()``), the same as the reference kernel's.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, SupportsInt, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Sequence,
+    SupportsInt,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -37,7 +60,6 @@ from repro.core.kernels.base import (
     LeafTables,
     Planes,
     PYTHON_KERNEL,
-    leaf_plane_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,6 +72,13 @@ WORD = np.dtype("<u8")
 #: Below this many states the per-call ndarray set-up costs more than the
 #: bigint loop it replaces; delegate tiny products to the reference kernel.
 MIN_VECTOR_Q = 32
+
+#: Upper bound on the words of one batched ``(R, q, q, row_words)`` cube:
+#: a level with more rules is processed in slices of at most this size.
+CHUNK_WORDS = 1 << 18
+
+#: Counts stay ``uint64`` while a level's float64 estimate is below this.
+UINT64_SAFE = 2.0**62
 
 Rows = Union[List[int], np.ndarray]
 
@@ -71,17 +100,6 @@ def _unpack_bits(words: np.ndarray, q: int) -> np.ndarray:
     return np.unpackbits(u8, axis=1, bitorder="little")[:, :q]
 
 
-def _pack_rows(bits: np.ndarray, row_words: int) -> np.ndarray:
-    """``(n, q)`` 0/1 values -> ``(n, row_words)`` uint64 row words."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    width = row_words * 8
-    if packed.shape[1] != width:
-        padded = np.zeros((packed.shape[0], width), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        packed = padded
-    return np.ascontiguousarray(packed).view(np.uint64)
-
-
 def _to_int_rows(words: np.ndarray, row_words: int) -> List[int]:
     """``(n, row_words)`` word array back to Python bigint rows."""
     if row_words == 1:
@@ -95,6 +113,62 @@ def _to_int_rows(words: np.ndarray, row_words: int) -> List[int]:
     ]
 
 
+class _Levels(NamedTuple):
+    """The rules of ``order`` laid out for level-by-level batching.
+
+    ``names`` holds the leaves first, then the inner rules sorted by
+    height (stable, so equal heights keep their ``order``).  Children have
+    a smaller height than their parent, so every rule of ``spans[t]`` only
+    reads positions computed before it.
+    """
+
+    names: List[object]
+    #: name -> position in ``names``
+    index: Dict[object, int]
+    n_leaves: int
+    #: ``(n_inner, 2)``: per inner rule (``names[n_leaves:]`` order), the
+    #: positions of its left and right child
+    children: np.ndarray
+    #: ``[start, end)`` position ranges: one per height level, split so
+    #: that no range holds more than the caller's ``max_rules``
+    spans: List[Tuple[int, int]]
+
+
+def _levels(slp: "SLP", order: List[object], max_rules: int) -> _Levels:
+    leaves = [name for name in order if slp.is_leaf(name)]
+    inner = [name for name in order if not slp.is_leaf(name)]
+    inner.sort(key=slp.depth)
+    heights = [slp.depth(name) for name in inner]
+    names = leaves + inner
+    index = dict(zip(names, range(len(names))))
+    rules = slp.inner_rules
+    children = np.fromiter(
+        (index[child] for name in inner for child in rules[name]),
+        dtype=np.intp,
+        count=2 * len(inner),
+    ).reshape(len(inner), 2)
+    spans: List[Tuple[int, int]] = []
+    start = 0
+    for k in range(1, len(inner) + 1):
+        if k == len(inner) or heights[k] != heights[start] or k - start == max_rules:
+            spans.append((len(leaves) + start, len(leaves) + k))
+            start = k
+    return _Levels(names, index, len(leaves), children, spans)
+
+
+def _pack_planes(bits: np.ndarray, q: int) -> np.ndarray:
+    """``(R, 4, q, 64 * row_words)`` 0/1 planes -> ``(R, 4, q, row_words)`` words.
+
+    Slots 0 and 1 hold the notbot and one rows in their first ``q``
+    columns on entry (the rest is zero); slots 2 and 3 receive their
+    transposes — the notbot and one *columns* a parent reads when the
+    rule is its right child — so all four planes pack in one call and no
+    plane is ever unpacked again.
+    """
+    bits[:, 2:, :, :q] = bits[:, :2, :, :q].swapaxes(2, 3)
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
 class NumpyKernel(Kernel):
     """Vectorised backend over the shared uint64 word layout."""
 
@@ -104,53 +178,54 @@ class NumpyKernel(Kernel):
         self, slp: "SLP", order: List[object], q: int, leaf_tables: LeafTables
     ) -> Planes:
         row_words = (q + 63) // 64
-        notbot: Dict[object, np.ndarray] = {}
-        one: Dict[object, np.ndarray] = {}
-        inner_i: Dict[object, np.ndarray] = {}
+        levels = _levels(slp, order, max(1, CHUNK_WORDS // (q * q * row_words)))
+        n_leaves = levels.n_leaves
+        width = 64 * row_words
+        leaf_bits = np.zeros((n_leaves, 4, q, width), dtype=bool)
+        for k, name in enumerate(levels.names[:n_leaves]):
+            for (i, j), entries in leaf_tables[name].items():
+                if entries:
+                    leaf_bits[k, 0, i, j] = True
+                    leaf_bits[k, 1, i, j] = entries != ((),)
+        # planes[k] = notbot rows, one rows, notbot columns, one columns
+        # of names[k]; filled level by level.
+        planes = np.zeros((len(levels.names), 4, q, row_words), dtype=np.uint64)
+        planes[:n_leaves] = _pack_planes(leaf_bits, q)
+        cubes: Dict[object, np.ndarray] = {}
+        for start, end in levels.spans:
+            pair = planes[levels.children[start - n_leaves : end - n_leaves]]
+            left, right = pair[:, 0], pair[:, 1]
+            # Every rule of the level at once, over the (R, q, q, row_words)
+            # cube: I[r, i, j] = notbot_B[i] & columns(notbot_C)[j].  Since
+            # one ⊆ notbot on both sides, (one_B & nb_C) | (nb_B & one_C)
+            # is I & (one_B | one_C).
+            cube = left[:, 0, :, None, :] & right[:, 2, None, :, :]
+            bits = np.zeros((end - start, 4, q, width), dtype=bool)
+            cube.any(axis=3, out=bits[:, 0, :, :q])
+            one = left[:, 1, :, None, :] | right[:, 3, None, :, :]
+            one &= cube
+            one.any(axis=3, out=bits[:, 1, :, :q])
+            planes[start:end] = _pack_planes(bits, q)
+            cubes.update(
+                zip(levels.names[start:end], cube.reshape(end - start, q * q, row_words))
+            )
 
-        cols_cache: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
-
-        def columns(child: object) -> Tuple[np.ndarray, np.ndarray]:
-            cached = cols_cache.get(child)
-            if cached is None:
-                nb_t = _unpack_bits(notbot[child], q).T
-                one_t = _unpack_bits(one[child], q).T
-                cached = (_pack_rows(nb_t, row_words), _pack_rows(one_t, row_words))
-                cols_cache[child] = cached
-            return cached
-
-        for name in order:
-            if slp.is_leaf(name):
-                nb_rows, one_rows = leaf_plane_rows(leaf_tables, name, q)
-                notbot[name] = _as_words(nb_rows, row_words)
-                one[name] = _as_words(one_rows, row_words)
-                continue
-            left, right = slp.children(name)
-            right_nbc, right_onec = columns(right)
-            left_nb = notbot[left]
-            left_one = one[left]
-            # The whole parent rule in four broadcast expressions over the
-            # (q, q, row_words) cube — no per-(i, j) Python iteration.
-            cube = left_nb[:, None, :] & right_nbc[None, :, :]
-            nb_bits = cube.any(axis=2)
-            one_bits = (left_one[:, None, :] & right_nbc[None, :, :]).any(axis=2)
-            one_bits |= (left_nb[:, None, :] & right_onec[None, :, :]).any(axis=2)
-            notbot[name] = _pack_rows(nb_bits, row_words)
-            one[name] = _pack_rows(one_bits, row_words)
-            inner_i[name] = cube.reshape(q * q, row_words)
-
+        # Copy the row planes out, so cached tables do not keep the column
+        # planes (build state only) alive.
+        row_planes = planes[:, :2].copy()
+        rows = [row_planes[levels.index[name]] for name in order]
         if row_words == 1:
-            # Native storage: 1-D uint64 arrays; accessors int()-normalise.
+            # Native storage: 1-D uint64 views; accessors int()-normalise.
             return (
-                {n: a.reshape(q) for n, a in notbot.items()},
-                {n: a.reshape(q) for n, a in one.items()},
-                {n: a.reshape(q * q) for n, a in inner_i.items()},
+                {n: r[0, :, 0] for n, r in zip(order, rows)},
+                {n: r[1, :, 0] for n, r in zip(order, rows)},
+                {n: cubes[n].reshape(q * q) for n in order if n in cubes},
             )
         # Multi-word rows have no scalar form — materialise bigint rows.
         return (
-            {n: _to_int_rows(a, row_words) for n, a in notbot.items()},
-            {n: _to_int_rows(a, row_words) for n, a in one.items()},
-            {n: _to_int_rows(a, row_words) for n, a in inner_i.items()},
+            {n: _to_int_rows(r[0], row_words) for n, r in zip(order, rows)},
+            {n: _to_int_rows(r[1], row_words) for n, r in zip(order, rows)},
+            {n: _to_int_rows(cubes[n], row_words) for n in order if n in cubes},
         )
 
     def bool_multiply(self, a: List[int], b: List[int]) -> List[int]:
@@ -166,32 +241,27 @@ class NumpyKernel(Kernel):
 
     def build_counts(self, prep: "Preprocessing") -> Dict[object, List[int]]:
         q = prep.q
-        slp = prep.slp
-        row_words = (q + 63) // 64
-        flat: Dict[object, List[int]] = {}
-        for name in prep.order:
-            if slp.is_leaf(name):
-                row = [0] * (q * q)
-                for (i, j), entries in prep.leaf_tables[name].items():
-                    row[i * q + j] = len(entries)
-                flat[name] = row
-                continue
-            left, right = slp.children(name)
-            left_flat, right_flat = flat[left], flat[right]
-            # All (cell, k) index pairs of the I plane in one nonzero scan
-            # (a cell is nonzero iff its notbot bit is set); the exact
-            # bigint multiply-accumulate stays in Python — counts may be
-            # astronomically large — but runs over precomputed flat
-            # indices with no per-row mask decoding.
-            i_bits = _unpack_bits(_as_words(prep.I[name], row_words), q)
-            cells, ks = np.nonzero(i_bits)
-            left_idx = (cells // q * q + ks).tolist()
-            right_idx = (ks * q + cells % q).tolist()
-            row = [0] * (q * q)
-            for cell, li, ri in zip(cells.tolist(), left_idx, right_idx):
-                row[cell] += left_flat[li] * right_flat[ri]
-            flat[name] = row
-        return flat
+        levels = _levels(prep.slp, prep.order, max(1, CHUNK_WORDS // (q * q)))
+        n_leaves = levels.n_leaves
+        counts = np.zeros((len(levels.names), q, q), dtype=np.uint64)
+        for k, name in enumerate(levels.names[:n_leaves]):
+            for (i, j), entries in prep.leaf_tables[name].items():
+                counts[k, i, j] = len(entries)
+        for start, end in levels.spans:
+            pair = counts[levels.children[start - n_leaves : end - n_leaves]]
+            left, right = pair[:, 0], pair[:, 1]
+            # count_B[i, k] != 0 iff R_B[i, k] != ⊥, so the I_A-masked sum
+            # of Lemmas 6.9/8.7 is the plain product C_A = C_B · C_C.  A
+            # float64 estimate guards the uint64 product; from the first
+            # level that could wrap, the product runs on exact Python ints.
+            if counts.dtype != object:
+                estimate = np.matmul(left.astype(np.float64), right.astype(np.float64))
+                if estimate.max() >= UINT64_SAFE:
+                    counts = counts.astype(object)
+                    left, right = left.astype(object), right.astype(object)
+            counts[start:end] = np.matmul(left, right)
+        flat = counts.reshape(len(levels.names), q * q).tolist()  # Python ints
+        return {name: flat[levels.index[name]] for name in prep.order}
 
     def decode_words(
         self, buf: bytes, offset: int, count: int, row_words: int

@@ -26,8 +26,10 @@ matrices.
 
 The build itself is delegated to a pluggable *kernel backend*
 (:mod:`repro.core.kernels`): the dependency-free ``python`` kernel runs
-the loop above over bigint rows, the ``numpy`` kernel computes whole
-parent rules with broadcast AND/any reductions over uint64 word arrays.
+the loop above over bigint rows, one rule at a time; the ``numpy`` kernel
+computes one whole height level at a time (rules of equal height never
+read each other) with broadcast AND/any reductions over stacked uint64
+word arrays, storing each rule's column planes as it is built.
 Kernels may store plane containers in their native layout (e.g. 1-D
 ``uint64`` ndarrays for ``q <= 64``); the accessors below normalise every
 value with ``int()``, so consumers — and the differential harness — see

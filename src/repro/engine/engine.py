@@ -39,7 +39,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
     Union,
 )
 
@@ -69,10 +68,7 @@ from repro.engine.cache import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> core -> slp)
-    from repro.store.prepstore import PreprocessingStore, StoreStats
-
-#: One (variables, start, end) -> count table as persisted by the store.
-_Counts = Dict[Tuple[object, int, int], int]
+    from repro.store.prepstore import CountRows, PreprocessingStore, StoreStats
 
 
 class Engine:
@@ -139,16 +135,21 @@ class Engine:
         key_mode = "structural" if structural_keys else "identity"
         self._documents = LRUCache(max_documents, key_mode=key_mode)
         self._spanners = LRUCache(max_spanners, key_mode=key_mode)
+        # The eviction hook closes over a counter, not the engine: a bound
+        # method would make engine -> cache -> engine a reference cycle,
+        # and a dropped engine, with every table it caches, would then
+        # wait for the cyclic garbage collector instead of being freed.
+        counting_evictions = self._counting_evictions = [0]
+
+        def on_evict(entry: PreprocessingEntry) -> None:
+            if entry.counting is not None:
+                counting_evictions[0] += 1
+
         self._preps = PreprocessingCache(
-            max_preprocessings, on_evict=self._on_prep_evict, key_mode=key_mode
+            max_preprocessings, on_evict=on_evict, key_mode=key_mode
         )
         self._counting_hits = 0
         self._counting_misses = 0
-        self._counting_evictions = 0
-
-    def _on_prep_evict(self, entry: PreprocessingEntry) -> None:
-        if entry.counting is not None:
-            self._counting_evictions += 1
 
     # -- shared artifact lookups ----------------------------------------
 
@@ -201,7 +202,7 @@ class Engine:
         if deterministic and span.padded_dfa is span.padded_nfa:
             deterministic = False  # already a DFA: share one cache entry
 
-        restored_counts: List[_Counts] = []
+        restored_counts: List[CountRows] = []
 
         def build() -> Preprocessing:
             doc = self._document(slp)
@@ -242,9 +243,7 @@ class Engine:
         pinned = () if self.structural_keys else (spanner, slp)
         entry = self._preps.entry_keyed(key, pinned, build)
         if restored_counts and entry.counting is None:
-            entry.counting = CountingTables.from_counts(
-                entry.prep, restored_counts[0]
-            )
+            entry.counting = CountingTables.from_rows(entry.prep, restored_counts[0])
         return entry
 
     def preprocessing(
@@ -292,7 +291,7 @@ class Engine:
             (skey, dkey, deterministic), pinned, lambda: prep
         )
         if counts is not None and entry.counting is None:
-            entry.counting = CountingTables.from_counts(entry.prep, counts)
+            entry.counting = CountingTables.from_rows(entry.prep, counts)
         return True
 
     def _counting_tables(self, spanner: SpannerNFA, slp: SLP) -> CountingTables:
@@ -309,7 +308,7 @@ class Engine:
                     slp.structural_digest(),
                     entry.prep.automaton.structural_digest(),
                     entry.prep,
-                    entry.counting.counts,
+                    entry.counting.rows,
                 )
         else:
             self._counting_hits += 1
@@ -402,7 +401,7 @@ class Engine:
             "counting": CacheStats(
                 hits=self._counting_hits,
                 misses=self._counting_misses,
-                evictions=self._counting_evictions,
+                evictions=self._counting_evictions[0],
                 size=sum(
                     1 for e in self._preps.entries() if e.counting is not None
                 ),

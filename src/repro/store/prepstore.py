@@ -37,7 +37,11 @@ LEB128)::
     counting tables: u8 present flag; if 1, positional: per nonterminal
         in canonical order, per set bit (i, j) of its notbot plane in
         row-major order, uvarint |M_A[i,j]| — the keys are implicit in
-        the notbot planes, so no per-entry key bytes are spent |
+        the notbot planes, so no per-entry key bytes are spent.  A cell's
+        count is nonzero iff its notbot bit is set, so :meth:`save`
+        writes each flat count row's nonzero values and :meth:`load`
+        returns flat rows (``CountingTables.rows``) decoded per name on
+        first access — no per-cell dict on either side |
     u32 CRC-32 of every preceding byte
 
 The word-aligned sections are the restore hot path, and their codec is
@@ -95,11 +99,13 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
-from repro.core.kernels import Kernel, resolve_kernel
+from repro.core.boolmat import bits_list
+from repro.core.kernels import PYTHON_KERNEL, Kernel, resolve_kernel
 from repro.faults import fault_point, mangle
 from repro.obs.metrics import BYTE_BUCKETS, get_registry
 from repro.core.kernels.base import PlaneRows
@@ -109,6 +115,9 @@ from repro.spanner.automaton import SpannerNFA
 from repro.spanner.markers import CLOSE, OPEN, Marker, Pairs
 
 from repro.store.binary import _read_uvarint, _write_uvarint
+
+#: Per-nonterminal flat ``i*q+j`` count rows (``CountingTables.rows``).
+CountRows = Dict[object, List[int]]
 
 MAGIC = b"rPREP\x00"
 STORE_FORMAT_VERSION = 1
@@ -156,6 +165,19 @@ class _Reader:
                 self.pos = pos
                 return value
             shift += 7
+
+    def uvarints(self, count: int) -> Sequence[int]:
+        """The next ``count`` uvarints.
+
+        When none of the next ``count`` bytes has its continuation bit set
+        they are ``count`` one-byte uvarints, returned as one slice.
+        """
+        if self.pos + count <= self.end:
+            head = self.buf[self.pos : self.pos + count]
+            if not head or max(head) < 0x80:
+                self.pos += count
+                return head
+        return [self.uvarint() for _ in range(count)]
 
     def byte(self) -> int:
         if self.pos >= self.end:
@@ -233,9 +255,90 @@ class _LazyIVectors(Dict[object, Any]):
         return dict.__contains__(self, name) or name in self._index
 
 
-def _encode_prep(
-    prep: Preprocessing, counts: Optional[Dict[Tuple[object, int, int], int]]
-) -> bytes:
+class _LazyCountRows(Dict[object, List[int]]):
+    """Flat count rows decoded per nonterminal on first access.
+
+    The counterpart of :class:`_LazyIVectors` for the counting section:
+    a restored count reads only the rows it needs — ``total()`` reads the
+    start symbol's alone — so the restore keeps a reference into the
+    payload and builds a name's flat ``i*q+j`` row on first lookup,
+    memoised in the dict itself.  A name's values sit between those of
+    its canonical-order neighbours and the start symbol comes last, so
+    names are located from the end of the section backward, each one
+    once.  ``get`` and ``in`` see every name; ``==`` compares all rows.
+    """
+
+    __slots__ = ("_buf", "_lo", "_names", "_index", "_notbot", "_q", "_spans", "_end")
+
+    def __init__(
+        self,
+        buf: bytes,
+        lo: int,
+        hi: int,
+        names: List[object],
+        notbot: Callable[[int], List[int]],
+        q: int,
+    ) -> None:
+        super().__init__()
+        self._buf = buf
+        self._lo = lo
+        self._names = names
+        self._index = {name: k for k, name in enumerate(names)}
+        #: position -> the notbot row masks of names[position], as ints
+        self._notbot = notbot
+        self._q = q
+        #: position -> byte range of its values; the located names are a
+        #: suffix of ``names``, and ``_end`` is where the values of the last
+        #: name before that suffix end
+        self._spans: Dict[int, Tuple[int, int]] = {}
+        self._end = hi
+
+    def _locate(self, k: int) -> Tuple[int, int]:
+        buf, lo = self._buf, self._lo
+        for m in range(len(self._names) - len(self._spans) - 1, k - 1, -1):
+            end = self._end
+            n = sum(map(int.bit_count, self._notbot(m)))
+            start = end - n
+            if start > lo and buf[start - 1] >= 0x80 or (
+                n and max(buf[start:end]) >= 0x80
+            ):
+                # Some value takes more than one byte: walk back value by
+                # value (a uvarint ends at its only byte below 0x80).
+                start = end
+                for _ in range(n):
+                    start -= 1
+                    while start > lo and buf[start - 1] >= 0x80:
+                        start -= 1
+            self._spans[m] = (start, end)
+            self._end = start
+        return self._spans[k]
+
+    def __missing__(self, name: object) -> List[int]:
+        k = self._index[name]  # unknown name -> KeyError, as a dict would
+        start, end = self._locate(k)
+        nb_rows = self._notbot(k)
+        q = self._q
+        cells = [i * q + j for i, mask in enumerate(nb_rows) for j in bits_list(mask)]
+        row = [0] * (q * q)
+        for cell, value in zip(cells, _Reader(self._buf, start, end).uvarints(len(cells))):
+            row[cell] = value
+        self[name] = row
+        return row
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._index
+
+    def get(self, name: object, default: Any = None) -> Any:
+        return self[name] if name in self._index else default
+
+    def __eq__(self, other: object) -> bool:
+        return {name: self[name] for name in self._names} == other
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+
+def _encode_prep(prep: Preprocessing, counts: Optional[CountRows]) -> bytes:
     slp = prep.slp
     q = prep.q
     order = slp.canonical_order()
@@ -280,19 +383,17 @@ def _encode_prep(
     if counts is None:
         out.append(0)
     else:
-        # Positional: the counts dict is keyed by exactly the notbot-set
-        # cells (every consumer reads through ``CountingTables.count``,
-        # which only ever queries those), so the keys are implicit.
+        # Positional over the notbot-set cells, row-major.  A cell's count
+        # is nonzero iff its notbot bit is set (Lemmas 6.9/8.7), so those
+        # values are exactly the row's nonzero entries, in order.
         out.append(1)
-        get = counts.get
         for name in order:
-            nb_rows = prep.notbot[name]
-            for i in range(q):
-                row = int(nb_rows[i])  # kernel-native rows may be np scalars
-                while row:
-                    lsb = row & -row
-                    _write_uvarint(out, get((name, i, lsb.bit_length() - 1), 0))
-                    row ^= lsb
+            values = list(filter(None, counts[name]))
+            if values and max(values) < 0x80:
+                out += bytes(values)  # all one-byte uvarints: one C call
+            else:
+                for value in values:
+                    _write_uvarint(out, value)
     out += _CRC.pack(zlib.crc32(out))
     return bytes(out)
 
@@ -302,7 +403,7 @@ def _decode_prep(
     padded_slp: SLP,
     automaton: SpannerNFA,
     kernel: Union[None, str, Kernel] = None,
-) -> Optional[Tuple[Preprocessing, Optional[Dict[Tuple[object, int, int], int]]]]:
+) -> Optional[Tuple[Preprocessing, Optional[CountRows]]]:
     """Attach a stored payload to live objects; ``None`` on any mismatch.
 
     ``kernel`` selects the word-section codec (and the layout of the
@@ -378,18 +479,14 @@ def _decode_prep(
                 marker_sets.append(tuple(pairs))
             table[(i, j)] = tuple(marker_sets)
         leaf_tables[name] = table
-    counts: Optional[Dict[Tuple[object, int, int], int]] = None
+    counts: Optional[CountRows] = None
     if reader.byte():
-        counts = {}
-        uvarint = reader.uvarint
-        for name in order:
-            nb_rows = notbot[name]
-            for i in range(q):
-                row = int(nb_rows[i])  # kernel-native rows may be np scalars
-                while row:
-                    lsb = row & -row
-                    counts[(name, i, lsb.bit_length() - 1)] = uvarint()
-                    row ^= lsb
+
+        def notbot_ints(k: int) -> List[int]:
+            offset = plane_offset + k * plane_values * field
+            return list(PYTHON_KERNEL.decode_words(buf, offset, q, row_words))
+
+        counts = _LazyCountRows(buf, reader.pos, reader.end, order, notbot_ints, q)
     prep = Preprocessing.from_planes(
         padded_slp,
         automaton,
@@ -459,11 +556,14 @@ class PreprocessingStore:
         padded_slp: SLP,
         automaton: SpannerNFA,
         kernel: Union[None, str, Kernel] = None,
-    ) -> Optional[Tuple[Preprocessing, Optional[Dict[Tuple[object, int, int], int]]]]:
+    ) -> Optional[Tuple[Preprocessing, Optional[CountRows]]]:
         """The persisted ``(Preprocessing, counts)`` for the key, or ``None``.
 
-        ``counts`` is ``None`` when the entry was saved before its counting
-        tables were ever built.  ``kernel`` selects the word-section codec
+        ``counts`` is the per-nonterminal flat count rows, decoded per
+        name on first access (``CountingTables.from_rows`` adopts them),
+        or ``None`` when the entry
+        was saved before its counting tables were ever built.  ``kernel``
+        selects the word-section codec
         — the on-disk format is kernel-independent, so entries written
         under one backend restore under any other.  Stale versions,
         corrupt payloads and digest mismatches all return ``None``
@@ -522,9 +622,13 @@ class PreprocessingStore:
         slp_digest: str,
         automaton_digest: str,
         prep: Preprocessing,
-        counts: Optional[Dict[Tuple[object, int, int], int]] = None,
+        counts: Optional[CountRows] = None,
     ) -> None:
         """Persist the tables under the key (atomic; best-effort).
+
+        ``counts`` is the per-nonterminal flat count rows
+        (``CountingTables.rows``), written positionally over the notbot
+        cells; ``None`` saves the tables alone.
 
         The write goes to a tmp file that is fsynced and then renamed
         over the entry, so a writer killed at *any* point leaves either

@@ -1,6 +1,8 @@
 """Tests for repro.engine (LRU caches, Engine facade, batch helpers)."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -334,6 +336,20 @@ class TestDocumentEvictionResilience:
         stats = engine.cache_stats()
         assert stats["preprocessings"].evictions == 1
         assert stats["counting"].evictions == 1
+
+    def test_dropped_engine_is_freed_without_the_cycle_collector(self):
+        # Regression: the eviction hook was a bound method, so engine ->
+        # cache -> engine was a cycle and a dropped engine kept every
+        # table it cached until the cyclic collector ran.
+        engine = Engine()
+        engine.count(compile_spanner(r".*(?P<x>ab).*", alphabet="ab"), balanced_slp("abab"))
+        dropped = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_prep_hit_skips_spanner_repreparation(self):
         # Regression: a preprocessing-cache hit must not re-run the spanner

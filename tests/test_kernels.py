@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -33,7 +36,7 @@ from repro.engine import Engine
 from repro.engine.spec import EngineConfig
 from repro.errors import EvaluationError
 from repro.slp.construct import balanced_slp, bisection_slp
-from repro.slp.families import fibonacci_slp, power_slp, thue_morse_slp
+from repro.slp.families import caterpillar_slp, fibonacci_slp, power_slp, thue_morse_slp
 from repro.slp.lz import lz_slp
 from repro.slp.repair import repair_slp
 from repro.spanner.regex import compile_spanner
@@ -134,6 +137,10 @@ def assert_kernels_bit_identical(padded_slp, padded_automaton, counting=True):
         numpy_tables = CountingTables(numpy_prep)
         assert python_tables.total() == numpy_tables.total()
         assert python_tables.counts == numpy_tables.counts
+        # flat rows, bit for bit, and exact Python ints (never np.uint64)
+        assert python_tables.rows == numpy_tables.rows
+        for row in numpy_tables.rows.values():
+            assert all(type(value) is int for value in row)
     return python_prep
 
 
@@ -173,6 +180,59 @@ def test_cross_kernel_wide_automaton_q_over_64():
     assert CountingTables(prep).total() == 256 - 65 + 1
 
 
+# -- level-batched numpy build: exactness at the edges ----------------------------
+
+
+@needs_numpy
+def test_counts_past_uint64_stay_exact(tmp_path):
+    """Counts beyond 2**64 switch to exact ints; the store keeps them exact."""
+    spanner = compile_spanner(r".*(?P<x>ab).*(?P<y>ab).*", alphabet="ab")
+    source = power_slp("ab", 40)
+    padded_slp, padded_dfa = _dfa_pair(spanner, source, "#")
+    assert_kernels_bit_identical(padded_slp, padded_dfa)
+    expected = 604462909806764831539200  # C(2**40, 2), past uint64
+    assert expected >= 2**64
+    store = PreprocessingStore(str(tmp_path))
+    key = (source.structural_digest(), padded_dfa.structural_digest())
+    for kernel in ("python", "numpy"):
+        tables = CountingTables(Preprocessing(padded_slp, padded_dfa, kernel=kernel))
+        assert tables.total() == expected
+        store.save(*key, tables.prep, tables.rows)
+        restored_prep, rows = store.load(*key, padded_slp, padded_dfa, kernel=kernel)
+        assert rows == tables.rows
+        assert CountingTables.from_rows(restored_prep, rows).total() == expected
+
+
+@needs_numpy
+def test_single_rule_levels_of_an_unbalanced_chain():
+    """caterpillar_slp: every height level holds exactly one rule."""
+    spanner = compile_spanner(r"(a|b)*(?P<x>ab)(a|b)*", alphabet="ab")
+    padded_slp, padded_dfa = _dfa_pair(spanner, caterpillar_slp(1600), "#")
+    assert padded_slp.depth() > 1600  # pad_slp does not rebalance
+    prep = assert_kernels_bit_identical(padded_slp, padded_dfa)
+    assert CountingTables(prep).total() == 801
+
+
+@needs_numpy
+def test_wide_automaton_levels_of_several_multiword_rules():
+    """q > 64 over a RePair document: levels batch several multi-word rules."""
+    rng = random.Random(7)
+    text = "".join(
+        rng.choice(["a" * 70, "a" * 9 + "b", "ab" * 3, "b"]) for _ in range(60)
+    )
+    spanner = compile_spanner(r".*(?P<x>a{65}).*", alphabet="ab")
+    padded_slp, padded_dfa = _dfa_pair(spanner, repair_slp(text), "#")
+    assert padded_dfa.num_states > 64
+    heights = Counter(
+        padded_slp.depth(name)
+        for name in padded_slp.reachable()
+        if not padded_slp.is_leaf(name)
+    )
+    assert max(heights.values()) > 1
+    prep = assert_kernels_bit_identical(padded_slp, padded_dfa)
+    assert CountingTables(prep).total() == len(re.findall("(?=a{65})", text))
+
+
 @needs_numpy
 @pytest.mark.parametrize("writer,reader", [("python", "numpy"), ("numpy", "python")])
 def test_store_written_by_one_kernel_restores_under_the_other(
@@ -188,7 +248,7 @@ def test_store_written_by_one_kernel_restores_under_the_other(
     store = PreprocessingStore(str(tmp_path))
     slp_digest = slp.structural_digest()
     auto_digest = padded_dfa.structural_digest()
-    store.save(slp_digest, auto_digest, built, tables.counts)
+    store.save(slp_digest, auto_digest, built, tables.rows)
 
     restored = store.load(
         slp_digest, auto_digest, padded_slp, padded_dfa, kernel=reader
@@ -197,8 +257,9 @@ def test_store_written_by_one_kernel_restores_under_the_other(
     restored_prep, restored_counts = restored
     assert restored_prep.kernel.name == reader
     assert restored_prep.export_planes() == built.export_planes()
-    assert restored_counts == tables.counts
-    restored_tables = CountingTables.from_counts(restored_prep, restored_counts)
+    assert restored_counts == tables.rows
+    restored_tables = CountingTables.from_rows(restored_prep, restored_counts)
+    assert restored_tables.counts == tables.counts
     assert restored_tables.total() == tables.total()
     assert list(enumerate_marker_sets(restored_prep)) == list(
         enumerate_marker_sets(built)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import struct
@@ -9,6 +10,7 @@ import struct
 import pytest
 
 from repro.core.counting import CountingTables
+from repro.core.kernels import available_kernels
 from repro.core.matrices import Preprocessing
 from repro.engine import Engine
 from repro.slp.construct import balanced_slp
@@ -66,15 +68,37 @@ class TestRoundTrip:
         source, padded_slp, padded_nfa, prep = build_pair(doc="ab" * 40)
         tables = CountingTables(prep)
         key = (source.structural_digest(), padded_nfa.structural_digest())
-        store.save(*key, prep, tables.counts)
+        store.save(*key, prep, tables.rows)
         restored, counts = store.load(*key, padded_slp, padded_nfa)
-        # counts are stored positionally over the notbot cells, which is
-        # exactly the key set CountingTables produces
-        assert counts == tables.counts
-        loaded = CountingTables.from_counts(restored, counts)
+        # counts are stored positionally over the notbot cells, which are
+        # exactly the cells with a nonzero count
+        assert counts == tables.rows
+        loaded = CountingTables.from_rows(restored, counts)
+        assert loaded.counts == tables.counts
         assert loaded.total() == tables.total()
         for name, i, j in tables.counts:
             assert loaded.count(name, i, j) == tables.count(name, i, j)
+
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_counts_section_roundtrips_mixed_widths(self, kernel):
+        # The codec needs only nonzero cells == notbot cells; one- and
+        # multi-byte values in every position exercise each decode path,
+        # whether the rows are decoded in canonical order or start first.
+        _, padded_slp, padded_dfa, prep = build_pair(doc="abbaab" * 6)
+        rng = random.Random(5)
+        widths = (1, 127, 128, 300, 2**70)
+        rows = {
+            name: [rng.choice(widths) if value else 0 for value in row]
+            for name, row in CountingTables(prep).rows.items()
+        }
+        payload = prepstore._encode_prep(prep, rows)
+        _, start_first = prepstore._decode_prep(payload, padded_slp, padded_dfa, kernel)
+        start = padded_slp.start
+        assert start_first[start] == rows[start]
+        _, in_order = prepstore._decode_prep(payload, padded_slp, padded_dfa, kernel)
+        for name in prep.order:  # children first, the start symbol last
+            assert in_order[name] == rows[name]
+        assert in_order == rows
 
     def test_huge_counts_survive(self, tmp_path):
         # power_slp("ab", 40): ~10^12 results — counts are arbitrary ints
@@ -87,9 +111,9 @@ class TestRoundTrip:
         tables = CountingTables(prep)
         assert tables.total() == 2**40
         key = (source.structural_digest(), padded_nfa.structural_digest())
-        store.save(*key, prep, tables.counts)
+        store.save(*key, prep, tables.rows)
         _, counts = store.load(*key, padded_slp, padded_nfa)
-        assert CountingTables.from_counts(prep, counts).total() == 2**40
+        assert CountingTables.from_rows(prep, counts).total() == 2**40
 
     def test_attaches_to_renamed_but_equal_grammar(self, tmp_path):
         # The whole point of structural keys: a structurally equal padded
@@ -120,6 +144,34 @@ class TestRoundTrip:
             twin = lookup[name]
             for i in range(prep.q):
                 assert restored.notbot_row(twin, i) == prep.notbot_row(name, i)
+
+
+class TestGoldenBytes:
+    """The ``.prep`` bytes of a fixed pair are pinned, under every kernel.
+
+    A digest change means the format moved: existing stores would stop
+    hitting, so it must come with a ``STORE_FORMAT_VERSION`` bump.  The
+    pair's counts reach 165, so multi-byte uvarints are covered.
+    """
+
+    TABLES_ONLY = "3677d9f4abc9bd251925a2e2d9890c534cb04ca7a3a8322f2228edab120c70dc"
+    WITH_COUNTS = "2b1ca18bbb013e985d7dbd4d58076cae9e8138fe1511ade1af32908997ae84b4"
+
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_encoded_payload_digests(self, kernel):
+        assert prepstore.STORE_FORMAT_VERSION == 1
+        _, padded_slp, padded_dfa, _ = build_pair(
+            doc="abbaab" * 6, pattern=r".*(?P<x>a(a|b)*b).*"
+        )
+        prep = Preprocessing(padded_slp, padded_dfa, kernel=kernel)
+        tables = CountingTables(prep)
+        assert tables.total() == 165
+
+        def digest(counts):
+            return hashlib.sha256(prepstore._encode_prep(prep, counts)).hexdigest()
+
+        assert digest(None) == self.TABLES_ONLY
+        assert digest(tables.rows) == self.WITH_COUNTS
 
 
 class TestRejection:
