@@ -5,9 +5,10 @@ of tier-1):
 
 * ``parallel_corpus(jobs=4)`` over the synthetic ``.slpb`` corpus must
   be >= 2x faster than serial ``evaluate_corpus`` on the same files;
-* with a shared store, the whole fleet must build the Lemma 6.5 tables
-  at most once per grammar digest (priming + content addressing: no
-  duplicate builds across workers);
+* with a shared store, the parent and the whole fleet together must
+  build the Lemma 6.5 tables exactly once per grammar digest (digest
+  affinity keeps every copy on one worker; content addressing persists
+  each build once);
 * the LPT shard planner must keep shard costs balanced on a skewed
   corpus.
 
@@ -31,9 +32,11 @@ import os
 
 from repro.bench.harness import time_call
 from repro.engine import Engine
+from repro.obs.metrics import get_registry
 from repro.slp import io as slp_io
 from repro.spanner.regex import compile_spanner
 from repro.parallel import corpus_items, parallel_corpus, plan_shards
+from repro.parallel.pool import default_start_method
 from repro.workloads import write_corpus
 
 NUM_DOCS = 24
@@ -70,7 +73,7 @@ def test_parallel_corpus_at_least_2x_faster_than_serial(tmp_path):
 
     def parallel():
         return parallel_corpus(
-            spanner, paths, jobs=JOBS, prime=False, timeout=600
+            spanner, paths, jobs=JOBS, timeout=600
         )
 
     serial_results, serial_time = time_call(serial)
@@ -85,11 +88,11 @@ def test_parallel_corpus_at_least_2x_faster_than_serial(tmp_path):
 def test_fleet_builds_tables_once_per_digest(tmp_path):
     """Across the whole fleet, one Lemma 6.5 build per grammar digest.
 
-    Duplicates are served by digest-affinity (the copy's worker already
-    holds the tables in memory) or by the shared store (priming built
-    and persisted them before fan-out) — never by a second build.  A
-    moderate automaton keeps the ``.prep`` payloads small (q <= 64:
-    single-word bit rows), the regime the store is designed for.
+    Duplicates are served by digest affinity (the copy's worker already
+    holds the tables in memory) — never by a second build, in a worker
+    or in the calling process.  A moderate automaton keeps the ``.prep``
+    payloads small (q <= 64: single-word bit rows), the regime the store
+    is designed for.
     """
     paths = write_corpus(
         str(tmp_path / "corpus"),
@@ -102,6 +105,7 @@ def test_fleet_builds_tables_once_per_digest(tmp_path):
     assert unique == 3
     spanner = compile_spanner(r"(a|b)*(?P<x>ab{2}ab)(a|b)*", alphabet="ab")
     store_dir = str(tmp_path / "store")
+    builds_before = get_registry().counter("engine.prep_builds").value
     report = parallel_corpus(
         spanner,
         paths,
@@ -111,14 +115,26 @@ def test_fleet_builds_tables_once_per_digest(tmp_path):
         timeout=600,
         report=True,
     )
+    builds_after = get_registry().counter("engine.prep_builds").value
     assert report.results == Engine().count_corpus(
         spanner, [slp_io.load_file(p) for p in paths]
     )
-    # priming built every duplicated digest in the parent; the workers
-    # only restored: zero worker-side builds, zero worker-side writes.
+    # Lemma 6.5 builds across parent and workers.  Worker snapshots are
+    # cumulative per process, and a forked worker starts from the
+    # parent's counter as it stood at fork time (its value now: the
+    # parent builds nothing while the pool runs), so that is taken off.
+    inherited = builds_after if default_start_method() == "fork" else 0
+    worker_builds = sum(
+        snap["counters"].get("engine.prep_builds", 0) - inherited
+        for snap in report.worker_metrics.values()
+    )
+    builds = worker_builds + builds_after - builds_before
+    assert builds == unique, (
+        f"{builds} Lemma 6.5 builds across the fleet for {unique} digests"
+    )
     store_stats = report.store_stats
     assert store_stats is not None
-    assert store_stats.writes == 0, "a worker rebuilt primed tables"
+    assert store_stats.writes == unique, "a digest was persisted twice"
     assert len(os.listdir(store_dir)) == unique
     prep_stats = report.cache_stats["preprocessings"]
     assert prep_stats.misses <= unique, (

@@ -252,48 +252,6 @@ class Engine:
         """The (cached) Lemma 6.5 tables for the pair."""
         return self._entry(spanner, slp, deterministic).prep
 
-    def warm_from_store(
-        self, spanner: SpannerNFA, slp: SLP, deterministic: bool = False
-    ) -> bool:
-        """Hydrate the preprocessing cache from the store, never building.
-
-        Returns ``True`` when the pair's tables are now in memory (already
-        cached, or restored from the on-disk store — restored counting
-        tables come along for free) and ``False`` when they would have to
-        be built.  This is the worker/priming hook: a fleet coordinator
-        can ask "is this pair already paid for?" without triggering the
-        ``O(size(S) · q²)`` build that a plain lookup would run.
-        """
-        skey, dkey = self._spanner_key(spanner), self._document_key(slp)
-        if self._preps.cached((skey, dkey, deterministic), record_hit=False) is not None:
-            return True
-        span = self._spanner(spanner)
-        if deterministic and span.padded_dfa is span.padded_nfa:
-            deterministic = False  # already a DFA: shares the NFA entry
-            if self._preps.cached((skey, dkey, False), record_hit=False) is not None:
-                return True
-        if self.store is None:
-            return False
-        doc = self._document(slp)
-        automaton = span.padded_dfa if deterministic else span.padded_nfa
-        restored = self.store.load(
-            slp.structural_digest(),
-            automaton.structural_digest(),
-            doc.padded,
-            automaton,
-            kernel=self.kernel,
-        )
-        if restored is None:
-            return False
-        prep, counts = restored
-        pinned = () if self.structural_keys else (spanner, slp)
-        entry = self._preps.entry_keyed(
-            (skey, dkey, deterministic), pinned, lambda: prep
-        )
-        if counts is not None and entry.counting is None:
-            entry.counting = CountingTables.from_rows(entry.prep, counts)
-        return True
-
     def _counting_tables(self, spanner: SpannerNFA, slp: SLP) -> CountingTables:
         # Stored on the preprocessing entry so both evict together and the
         # preprocessing cache's maxsize really bounds live table memory.

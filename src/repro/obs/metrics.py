@@ -101,27 +101,30 @@ class Histogram:
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
-        self.vmin: Optional[float] = None
-        self.vmax: Optional[float] = None
+        # Infinite sentinels keep ``observe`` to two plain comparisons;
+        # ``as_dict`` reports ``None`` until something was observed.
+        self.vmin = float("inf")
+        self.vmax = float("-inf")
 
     def observe(self, value: float) -> None:
         value = float(value)
         self.counts[bisect_right(self.bounds, value)] += 1
         self.count += 1
         self.total += value
-        if self.vmin is None or value < self.vmin:
+        if value < self.vmin:
             self.vmin = value
-        if self.vmax is None or value > self.vmax:
+        if value > self.vmax:
             self.vmax = value
 
     def as_dict(self) -> Dict[str, Any]:
+        observed = self.count > 0
         return {
             "bounds": list(self.bounds),
             "counts": list(self.counts),
             "count": self.count,
             "total": self.total,
-            "min": self.vmin,
-            "max": self.vmax,
+            "min": self.vmin if observed else None,
+            "max": self.vmax if observed else None,
         }
 
 

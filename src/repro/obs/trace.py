@@ -215,6 +215,11 @@ class Tracer:
     def __init__(self, path: Optional[str] = None) -> None:
         self._path = path
         self._local = threading.local()
+        # One entry per on-stack span open on any thread, so the disabled
+        # path in :meth:`span` need not touch the (slow) thread-local.
+        # ``append``/``pop`` are atomic: no lock, which a fork could
+        # inherit held.
+        self._open: List[None] = []
 
     # -- configuration ----------------------------------------------------
 
@@ -247,8 +252,12 @@ class Tracer:
         engine internals (store restore, kernel build) land under the
         worker's shard span without any API plumbing.
         """
-        handle = self.begin(name, parent=parent, path=path, on_stack=True, **tags)
-        return handle
+        # The disabled path, decided before ``begin`` rebuilds the tags
+        # or touches the thread's stack: no sink anywhere and no span
+        # open on any thread (``begin`` would return the same no-op).
+        if path is None and parent is None and self._path is None and not self._open:
+            return NOOP_SPAN
+        return self.begin(name, parent=parent, path=path, on_stack=True, **tags)
 
     def begin(
         self,
@@ -292,6 +301,7 @@ class Tracer:
         handle = _OpenSpan(span, sink, self, on_stack)
         if on_stack:
             stack.append(handle)
+            self._open.append(None)
         return handle
 
     def current_context(self, path: Optional[str] = None) -> Optional[TraceContext]:
@@ -313,9 +323,11 @@ class Tracer:
     def _pop(self, handle: _OpenSpan) -> None:
         stack = self._stack()
         if handle in stack:
-            while stack and stack[-1] is not handle:
+            while stack[-1] is not handle:
                 stack.pop()
+                self._open.pop()
             stack.pop()
+            self._open.pop()
 
     def _write(self, span: Span, sink: str) -> None:
         line = json.dumps(span.as_line(), separators=(",", ":"), default=str)

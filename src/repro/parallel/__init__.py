@@ -9,13 +9,14 @@ three layers:
 * :mod:`repro.parallel.sharding` — partition a corpus of grammar files
   (in-memory SLPs are spilled to ``repro-slpb`` temp files) into
   size-balanced shards, using grammar size — read straight from the
-  binary header — as the cost model, with digest-affinity so duplicate
-  documents land on one worker's in-memory cache;
+  binary header — as the cost model, with digest affinity so duplicate
+  documents land on one worker's in-memory cache (the only
+  deduplication: Lemma 6.5 tables are built once per digest across the
+  whole fleet, with no pass in the calling process);
 * :mod:`repro.parallel.pool` / :mod:`repro.parallel.worker` — a
   :class:`WorkerPool` of ``multiprocessing`` workers, each hydrating its
-  own ``Engine(store=..., structural_keys=True)`` from a shared store
-  directory so Lemma 6.5 tables are built once per digest across the
-  whole fleet;
+  own ``Engine(store=..., structural_keys=True)`` over a shared store
+  directory, so tables built by one call are restored by the next;
 * :mod:`repro.parallel.scheduler` — the one shard scheduler, shared by
   per-call pools and the service daemon: dynamic pull-based dispatch,
   ordered result collection, per-worker stats aggregation, and crash

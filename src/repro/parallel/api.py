@@ -17,11 +17,14 @@ All three are thin wrappers over one grid runner, which an in-process
 ``Session(jobs > 1)`` (and through it ``repro batch --jobs N``) calls
 directly with its own :class:`~repro.engine.spec.EngineConfig`.
 
-Give every call the same ``store`` directory and the fleet shares
-preprocessing builds through content addressing; with
-``prime="duplicates"`` (the default when a store is set) a cheap parent
-pass first builds one entry per *duplicated* grammar digest, so no two
-workers ever race to build the same tables.
+Deduplication is digest affinity alone, as on the daemon: the shard
+planner never splits a ``(digest, spanner)`` group, so within one call
+the worker that receives a group builds its Lemma 6.5 tables once and
+serves every copy from memory.  Give every call the same ``store``
+directory and later calls (and other processes) restore those tables
+instead of building them.  The calling process reads only the
+``repro-slpb`` header digests it plans shards by; it decodes no binary
+grammar and builds nothing.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ def _run_grid(
     config: EngineConfig,
     *,
     jobs: Optional[int] = None,
-    prime: Union[bool, str] = True,
     max_retries: int = 2,
     timeout: Optional[float] = None,
     shard_timeout: Optional[float] = None,
@@ -76,16 +78,12 @@ def _run_grid(
 ) -> ParallelReport:
     """Run ``task`` over ``items_of(paths, len(spanners))`` on one pool.
 
-    The one place that spills in-memory documents, plans LPT shards,
-    primes the store and calls :meth:`WorkerPool.run` (exactly once).
+    The one place that spills in-memory documents, plans LPT shards
+    and calls :meth:`WorkerPool.run` (exactly once).
     Every worker hydrates its engine from ``config``; a ``config``
     without a trace sink inherits this process's (so engine-internal
     worker spans trace even when the task carries no context).
     """
-    if prime not in (True, False, "duplicates", "all"):
-        raise ValueError(
-            f"prime must be True, False, 'duplicates' or 'all', got {prime!r}"
-        )
     specs = [SpannerSpec.of(sp) for sp in spanners]
     # The caller's active span (if any) rides inside the task, so worker
     # shard spans in other processes parent to it and share its sink.
@@ -100,17 +98,6 @@ def _run_grid(
         plan = plan_shards(items, num_shards=jobs * SHARDS_PER_JOB)
         if fault_tokens:
             plan = plan.with_fault_tokens(fault_tokens)
-        if config.store_dir is not None and prime and task != "nonempty":
-            from repro.store.priming import prime_store
-
-            prime_store(
-                config.store_dir,
-                [(spec, [it.path for it in items if it.spanner_id == sid])
-                 for sid, spec in enumerate(specs)],
-                task=task,
-                config=config,
-                only_duplicated=(prime == "duplicates" or prime is True),
-            )
         pool = WorkerPool(
             jobs,
             config,
@@ -139,7 +126,6 @@ def parallel_corpus(
     store: Optional[str] = None,
     structural_keys: bool = True,
     kernel: Optional[str] = None,
-    prime: Union[bool, str] = True,
     max_retries: int = 2,
     timeout: Optional[float] = None,
     shard_timeout: Optional[float] = None,
@@ -156,12 +142,11 @@ def parallel_corpus(
     temp files so workers only ever receive paths.
 
     ``store`` (a directory path) is the fleet's shared preprocessing
-    store; ``prime`` controls the parent-side priming pass (``True`` /
-    ``"duplicates"``: build once per duplicated digest before fan-out,
-    ``"all"``: every missing digest, ``False``: skip).  ``report=True``
-    returns the full :class:`~repro.parallel.pool.ParallelReport`
-    (aggregated cache/store stats, retry and crash counts) instead of
-    the bare result list.  ``shard_timeout`` arms the pool's hung-shard
+    store: copies of one grammar share a shard, so the fleet builds
+    each distinct digest's tables once and later calls restore them.
+    ``report=True`` returns the full
+    :class:`~repro.parallel.pool.ParallelReport` (aggregated cache/store
+    stats, retry and crash counts) instead of the bare result list.  ``shard_timeout`` arms the pool's hung-shard
     watchdog (see :class:`~repro.parallel.pool.WorkerPool`).
     ``_fault_tokens`` is test-only crash injection (see
     :func:`repro.parallel.worker.maybe_inject_fault`); richer fault
@@ -182,7 +167,6 @@ def parallel_corpus(
         limit,
         _config(store, structural_keys, kernel),
         jobs=jobs,
-        prime=prime,
         max_retries=max_retries,
         timeout=timeout,
         shard_timeout=shard_timeout,
@@ -221,7 +205,6 @@ def parallel_many(
         limit,
         _config(store, structural_keys, kernel),
         jobs=jobs,
-        prime=False,  # distinct automata: nothing to deduplicate
         max_retries=max_retries,
         timeout=timeout,
         shard_timeout=shard_timeout,
@@ -240,7 +223,6 @@ def parallel_batch(
     store: Optional[str] = None,
     structural_keys: bool = True,
     kernel: Optional[str] = None,
-    prime: Union[bool, str] = True,
     max_retries: int = 2,
     timeout: Optional[float] = None,
     shard_timeout: Optional[float] = None,
@@ -250,7 +232,9 @@ def parallel_batch(
 
     Returns :class:`~repro.engine.batch.BatchItem` rows in the same
     row-major order as :func:`repro.engine.batch.run_batch` — documents
-    outer, spanners inner.  With ``report=True`` the return value is
+    outer, spanners inner.  Copies of one grammar under one spanner
+    share a shard, so each such pair is built once per call, as in
+    :func:`parallel_corpus`.  With ``report=True`` the return value is
     ``(items, ParallelReport)`` for fleet-level stats.
     """
     spanners = list(spanners)
@@ -261,7 +245,6 @@ def parallel_batch(
         limit,
         _config(store, structural_keys, kernel),
         jobs=jobs,
-        prime=prime,
         max_retries=max_retries,
         timeout=timeout,
         shard_timeout=shard_timeout,

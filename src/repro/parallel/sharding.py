@@ -13,9 +13,11 @@ lifting:
 * **Digest affinity.**  Items whose grammars share a structural digest
   are placed in the *same* shard: the worker's structurally-keyed engine
   then builds the Lemma 6.5 tables once and serves the duplicates from
-  its in-memory cache — no cross-process coordination needed.  Duplicate
-  items are costed at a small fraction of the first occurrence so the
-  balancer sees their true (cache-hit) weight.
+  its in-memory cache — no cross-process coordination needed.  This is
+  the only deduplication on both backends, per-call pools and the
+  daemon alike: no pass ahead of fan-out builds or probes the store.
+  Duplicate items are costed at a small fraction of the first
+  occurrence so the balancer sees their true (cache-hit) weight.
 
 In-memory corpora are *spilled* to ``repro-slpb`` temp files first
 (:func:`spill_corpus`): workers are always handed paths, never pickled

@@ -227,10 +227,9 @@ def peek_digest(path: str) -> str:
     (16 bytes at a fixed offset) without decoding the grammar; JSON files
     are decoded and hashed.  The header digest is written by our own
     encoder and CRC-sealed, so it is trustworthy for *scheduling* —
-    grouping duplicate documents onto one worker, deduplicating store
-    priming — where a wrong value can only cost a missed optimisation,
-    never a wrong answer (every load-bearing consumer re-derives digests
-    from decoded structure).
+    grouping duplicate documents onto one worker — where a wrong value
+    can only cost a missed optimisation, never a wrong answer (every
+    load-bearing consumer re-derives digests from decoded structure).
     """
     with open(path, "rb") as fh:
         head = fh.read(26)  # magic(6) + version(2) + flags(2) + digest(16)

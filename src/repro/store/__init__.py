@@ -11,7 +11,11 @@ Two cooperating pieces:
   map from ``(slp_digest, automaton_digest, padded_digest)`` — with the
   format version checked in-payload — to the Lemma 6.5 bit-plane tables
   (plus counting tables once built), so ``Engine(store=...)`` warm
-  starts survive process restarts.
+  starts survive process restarts.  Parallel and daemon workers share
+  one store directory: whichever worker builds a digest's tables writes
+  them, and later calls restore them.  Within one call, digest-affinity
+  sharding keeps every copy of a grammar on one worker, so nothing
+  builds or probes the store ahead of fan-out.
 
 Both address content by :meth:`repro.slp.grammar.SLP.structural_digest`,
 the naming-independent grammar hash that also powers the engine's opt-in
@@ -33,7 +37,6 @@ from repro.store.prepstore import (
     StoreEntryInfo,
     StoreStats,
 )
-from repro.store.priming import prime_store
 
 __all__ = [
     "BINARY_FORMAT_VERSION",
@@ -47,5 +50,4 @@ __all__ = [
     "load_binary",
     "open_binary",
     "save_binary",
-    "prime_store",
 ]

@@ -11,6 +11,7 @@ results arrive.
 import json
 import os
 import random
+import threading
 
 import pytest
 
@@ -58,6 +59,42 @@ class TestTracer:
         with handle as span:
             assert span.context() is None
         assert not tracer.enabled
+
+    def test_span_opens_whenever_some_sink_applies(self, tmp_path):
+        # span()'s disabled fast path must not swallow any of the four
+        # ways a sink reaches a new span.
+        sink = str(tmp_path / "trace.jsonl")
+        with Tracer(sink).span("configured") as configured:
+            assert configured is not NOOP_SPAN
+        tracer = Tracer(None)
+        explicit = tracer.span("explicit", path=sink)
+        assert explicit is not NOOP_SPAN
+        with explicit:
+            # the enclosing span's sink applies to a bare nested span
+            with tracer.span("enclosed") as enclosed:
+                assert enclosed is not NOOP_SPAN
+        parent = TraceContext(trace_id="t" * 16, span_id="s" * 16, path=sink)
+        with tracer.span("remote", parent=parent) as remote:
+            assert remote is not NOOP_SPAN
+        # a parent without a path, and nothing else: still disabled
+        bare = TraceContext(trace_id="t" * 16, span_id="s" * 16)
+        assert tracer.span("bare", parent=bare) is NOOP_SPAN
+        assert tracer.span("after") is NOOP_SPAN  # the stack unwound
+        outer = tracer.span("outer", path=sink)
+        tracer.span("abandoned")  # never finished: unwound with outer
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(tracer.span("other")))
+        worker.start()
+        worker.join()
+        assert seen == [NOOP_SPAN]  # a span open on another thread is no sink
+        outer.finish()
+        assert tracer.span("after") is NOOP_SPAN
+        by_name = {r["name"]: r for r in read_trace(sink)}
+        assert set(by_name) == {
+            "configured", "explicit", "enclosed", "remote", "outer"
+        }
+        assert by_name["enclosed"]["parent"] == by_name["explicit"]["span"]
+        assert by_name["remote"]["parent"] == "s" * 16
 
     def test_spans_nest_on_the_thread_and_export_jsonl(self, tmp_path):
         sink = str(tmp_path / "trace.jsonl")
@@ -164,6 +201,15 @@ class TestMetrics:
         assert hist["total"] == pytest.approx(0.5002)
         assert sum(hist["counts"]) == 2
         assert hist["bounds"] == list(TIME_BUCKETS)
+
+    def test_histogram_min_max_unset_until_observed(self):
+        hist = MetricsRegistry().histogram("h")
+        assert (hist.as_dict()["min"], hist.as_dict()["max"]) == (None, None)
+        for value in (3, 0.5, 2):
+            hist.observe(value)
+        summary = hist.as_dict()
+        assert (summary["min"], summary["max"], summary["total"]) == (0.5, 3.0, 5.5)
+        assert type(summary["max"]) is float
 
     def test_mismatched_bounds_degrade_to_scalar_summary(self):
         a = MetricsRegistry()

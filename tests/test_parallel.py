@@ -28,12 +28,15 @@ from repro.parallel import (
     plan_shards,
     spill_corpus,
 )
+from repro.obs.metrics import get_registry
+from repro.parallel.pool import default_start_method
 from repro.parallel.sharding import DUPLICATE_COST_FACTOR
 from repro.slp import io as slp_io
 from repro.slp.construct import balanced_slp
 from repro.slp.repair import repair_slp
+from repro.session import Session
 from repro.spanner.regex import compile_spanner
-from repro.store import PreprocessingStore, prime_store
+from repro.store import PreprocessingStore
 from repro.workloads import write_corpus
 
 TIMEOUT = 120.0  # generous per-run cap: a hang should fail, not wedge CI
@@ -148,26 +151,6 @@ class TestSpecs:
         engine = config.build()
         assert engine.structural_keys and engine.store is not None
 
-    def test_warm_from_store_restores_without_building(self, tmp_path):
-        spanner, slp = ab_spanner(), balanced_slp("aababab")
-        store_dir = str(tmp_path / "store")
-        builder = Engine(store=PreprocessingStore(store_dir), structural_keys=True)
-        builder.count(spanner, slp)  # builds + persists tables and counts
-
-        fresh = Engine(store=PreprocessingStore(store_dir), structural_keys=True)
-        assert fresh.warm_from_store(spanner, slp, deterministic=True)
-        assert fresh.store.stats.hits == 1
-        # counting came back with the restore: no counting-table build
-        assert fresh.count(spanner, slp) == builder.count(spanner, slp)
-        assert fresh.cache_stats()["counting"].misses == 0
-
-    def test_warm_from_store_false_on_miss_and_storeless(self, tmp_path):
-        spanner, slp = ab_spanner(), balanced_slp("aababab")
-        assert not Engine().warm_from_store(spanner, slp)
-        empty = Engine(store=PreprocessingStore(str(tmp_path / "empty")))
-        assert not empty.warm_from_store(spanner, slp)
-        assert len(empty.store) == 0  # probing must not write
-
 
 # -- the worker pool ----------------------------------------------------------
 
@@ -201,8 +184,8 @@ class TestPool:
         assert len(report.worker_cache_stats) == 2
         merged = report.cache_stats
         assert merged["preprocessings"].misses >= 1
-        # store is shared: the fleet's writes + parent priming cover all
-        # three distinct digests
+        # store is shared: the fleet's writes cover all three distinct
+        # digests
         assert report.store_stats is not None
         assert len(PreprocessingStore(str(tmp_path / "store"))) == 3
 
@@ -509,59 +492,107 @@ class TestApi:
         with pytest.raises(ValueError, match="unknown batch task"):
             parallel_corpus(ab_spanner(), small_corpus, task="bogus", jobs=2)
 
-    def test_bad_prime_mode_fails_fast(self, small_corpus, tmp_path):
-        # a typo must not silently escalate to prime-everything
-        with pytest.raises(ValueError, match="prime must be"):
-            parallel_corpus(
-                ab_spanner(),
-                small_corpus,
-                jobs=2,
-                store=str(tmp_path / "s"),
-                prime="duplicate",
-            )
-
     def test_empty_corpus(self):
         assert parallel_corpus(ab_spanner(), [], jobs=2, timeout=TIMEOUT) == []
 
 
-# -- store priming ------------------------------------------------------------
+# -- digest affinity: one build per distinct digest ---------------------------
 
 
-class TestPriming:
-    def test_prime_builds_once_per_duplicated_digest(self, small_corpus, tmp_path):
-        store = PreprocessingStore(str(tmp_path / "store"))
-        built = prime_store(store, [(ab_spanner(), small_corpus)], task="count")
-        assert built == 3  # three distinct digests, each duplicated
-        assert len(store) == 3
+def fleet_prep_builds(report, parent_before):
+    """Lemma 6.5 builds across parent and workers during one pool call.
 
-    def test_prime_skips_singletons_by_default(self, tmp_path):
+    Worker snapshots are cumulative per process, and a forked worker
+    starts from the parent's counter as it stood at fork time (its
+    value now: the parent builds nothing while the pool runs), so that
+    inherited value is taken off.
+    """
+    parent_after = get_registry().counter("engine.prep_builds").value
+    inherited = parent_after if default_start_method() == "fork" else 0
+    workers = sum(
+        snap["counters"].get("engine.prep_builds", 0) - inherited
+        for snap in report.worker_metrics.values()
+    )
+    return workers + parent_after - parent_before
+
+
+@pytest.fixture
+def counted_loads(monkeypatch):
+    """Count grammar decodes in this (the calling) process."""
+    calls = []
+    load_file = slp_io.load_file
+
+    def counting_load_file(path, *args, **kwargs):
+        calls.append(path)
+        return load_file(path, *args, **kwargs)
+
+    monkeypatch.setattr(slp_io, "load_file", counting_load_file)
+    return calls
+
+
+class TestDigestAffinity:
+    """Copies of a grammar share a shard, so the fleet builds each
+    distinct digest once and the calling process never decodes."""
+
+    @pytest.fixture
+    def dup_corpus(self, tmp_path):
         paths = write_corpus(
-            str(tmp_path / "c"), 3, duplication=1, doc_length=80, seed=1
+            str(tmp_path / "corpus"), 8, duplication=4, doc_length=120, seed=5
         )
-        store = PreprocessingStore(str(tmp_path / "store"))
-        assert prime_store(store, [(ab_spanner(), paths)]) == 0
-        assert (
-            prime_store(store, [(ab_spanner(), paths)], only_duplicated=False) == 3
-        )
+        assert len({slp_io.peek_digest(p) for p in paths}) == 2
+        return paths
 
-    def test_prime_is_idempotent(self, small_corpus, tmp_path):
-        store = PreprocessingStore(str(tmp_path / "store"))
-        pairs = [(ab_spanner(), small_corpus)]
-        assert prime_store(store, pairs) == 3
-        assert prime_store(store, pairs) == 0  # second pass: all warm
-
-    def test_primed_store_serves_the_fleet(self, small_corpus, tmp_path):
-        store_dir = str(tmp_path / "store")
-        prime_store(store_dir, [(ab_spanner(), small_corpus)], task="count")
-        report = parallel_corpus(
-            ab_spanner(),
-            small_corpus,
-            task="count",
-            jobs=2,
-            store=store_dir,
-            prime=False,  # already primed above
-            timeout=TIMEOUT,
-            report=True,
+    def test_parallel_corpus_builds_once_then_restores(
+        self, dup_corpus, tmp_path, counted_loads
+    ):
+        spanner, store_dir = ab_spanner(), str(tmp_path / "store")
+        serial = evaluate_corpus(
+            spanner, [slp_io.load_file(p) for p in dup_corpus]
         )
-        stats = report.store_stats
-        assert stats is not None and stats.hits >= 3 and stats.writes == 0
+        del counted_loads[:]
+
+        def run():
+            before = get_registry().counter("engine.prep_builds").value
+            report = parallel_corpus(
+                spanner,
+                dup_corpus,
+                jobs=2,
+                store=store_dir,
+                timeout=TIMEOUT,
+                report=True,
+            )
+            assert report.results == serial
+            return report, fleet_prep_builds(report, before)
+
+        first, builds = run()
+        assert counted_loads == []
+        assert builds == 2
+        assert first.store_stats.writes == 2
+        assert len(PreprocessingStore(store_dir)) == 2
+        second, builds = run()
+        assert builds == 0
+        assert second.store_stats.writes == 0
+        assert second.store_stats.hits >= 2
+        assert counted_loads == []
+
+    def test_session_fleet_builds_once_then_restores(
+        self, dup_corpus, tmp_path, counted_loads
+    ):
+        spanner = ab_spanner()
+        serial = Engine().count_corpus(
+            spanner, [slp_io.load_file(p) for p in dup_corpus]
+        )
+        del counted_loads[:]
+        with Session(
+            jobs=2, store_dir=str(tmp_path / "store"), timeout=TIMEOUT
+        ) as session:
+            assert session.count_corpus(spanner, dup_corpus) == serial
+            assert counted_loads == []
+            first = session.stats()
+            assert first["cache"]["preprocessings"].misses == 2
+            assert first["store"].writes == 2
+            assert session.count_corpus(spanner, dup_corpus) == serial
+            second = session.stats()
+        assert second["store"].writes == first["store"].writes
+        assert second["store"].hits - first["store"].hits >= 2
+        assert counted_loads == []
